@@ -8,6 +8,7 @@ build:
 	$(GO) build ./...
 
 test: build
+	$(GO) vet ./...
 	$(GO) test ./...
 
 # Module-wide under the race detector: the parallel sweep executor and batch
@@ -61,8 +62,8 @@ farm-smoke: build
 
 # Collective-workload smoke: the graph-executor determinism suite (ring
 # all-reduce and MoE all-to-all on both the Dragonfly and Dragonfly+ mini
-# machines — reruns, the auditor, disabled pooling, and 1/2/4 RunBatch
-# workers must all reproduce bit-identical digests), then the figa
+# machines — pinned digests that reruns, the auditor, and 1/2/4 RunBatch
+# workers must all reproduce bit for bit), then the figa
 # placement-vs-routing sweep of all six graph generators checked against
 # its committed golden report.
 collectives-smoke: build

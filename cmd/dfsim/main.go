@@ -11,7 +11,7 @@
 //	dfsim -describe
 //	dfsim -app CR -placement rand -routing min
 //	dfsim -app AMG -placement cont -routing adp -background uniform
-//	dfsim -app FB -machine mini -scale 0.5 -seed 7
+//	dfsim -app FB -topo mini -scale 0.5 -seed 7
 //	dfsim -app CR -placement cont,rand -routing min,adp -parallel 4
 //	dfsim -app CR -routing adp -faults global=0.25,seed=3 -audit
 package main
@@ -30,7 +30,6 @@ import (
 
 func main() {
 	var (
-		machine    = flag.String("machine", "", "deprecated alias of -topo")
 		topoName   = flag.String("topo", "", "machine preset: theta, mini, dfplus, or dfplus-mini (default theta; dfplus* are extensions beyond the paper)")
 		app        = flag.String("app", "CR", "application: CR, FB, AMG (paper miniapps), or RING, TREE, MOE, HALO2D, HALO3D, CKPT (dependency-graph generators)")
 		place      = flag.String("placement", "cont", "placement (comma-separated sweeps): cont, cab, chas, rotr, rand")
@@ -43,7 +42,7 @@ func main() {
 		bgBytes    = flag.Int64("bg-bytes", 16*1024, "background message size in bytes")
 		bgInterval = flag.Duration("bg-interval", 0, "background interval (default 50us uniform, 500us bursty)")
 		bgFanOut   = flag.Int("bg-fanout", 64, "bursty background fan-out per node (0 = all peers)")
-		faultSpec  = flag.String("faults", "", "degrade the fabric (extension beyond the paper): comma clauses global=FRAC, local=FRAC, routers=K, router=ID, link=A-B, fail|repair=link:A-B@DUR or router:ID@DUR, seed=N")
+		faultSpec  = flag.String("faults", "", "degrade the fabric (extension beyond the paper): comma clauses "+cliutil.FaultGrammar)
 		faultSeed  = flag.Int64("fault-seed", 0, "override the fault spec's seed= clause (0 keeps the spec's own seed)")
 		wdEvents   = flag.Uint64("watchdog-events", 10_000_000_000, "DES stall watchdog: fail with a queue diagnostic past this many events (0 disables)")
 		describe   = flag.Bool("describe", false, "print the machine inventory (Figure 1) and exit")
@@ -64,7 +63,7 @@ func main() {
 		}
 	}()
 
-	m, err := cliutil.Machine(*topoName, *machine, "theta")
+	m, err := cliutil.Machine(*topoName, "theta")
 	if err != nil {
 		cliutil.Usagef("dfsim", "%v", err)
 	}

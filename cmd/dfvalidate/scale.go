@@ -1,12 +1,12 @@
 package main
 
-// The -scale-smoke mode: a big-machine shakeout that the unit suites never
-// reach (they stay below topology.DenseTableLimit). For each requested shape
-// it builds the machine, routes a sample of validated pairs through the
-// compressed tables, then drives an audited traffic burst under the DES
-// stall watchdog — and finally checks the process's OS-visible memory
-// against an explicit budget, so a reintroduced O(routers^2) table fails CI
-// with a number attached rather than an OOM kill.
+// The -scale-smoke mode: a big-machine shakeout at the ~20k-router sizes the
+// unit suites never reach. For each requested shape it builds the machine,
+// routes a sample of validated pairs through the compressed tables, then
+// drives an audited traffic burst under the DES stall watchdog — and finally
+// checks the process's OS-visible memory against an explicit budget, so a
+// reintroduced O(routers^2) table fails CI with a number attached rather than
+// an OOM kill.
 
 import (
 	"fmt"

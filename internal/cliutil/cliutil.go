@@ -32,13 +32,10 @@ func Usagef(cmd, format string, args ...interface{}) {
 	os.Exit(2)
 }
 
-// Machine resolves the -topo flag (with -machine as its deprecated alias)
-// to a machine preset, applying fallback when both are empty.
-func Machine(topo, machine, fallback string) (topology.Machine, error) {
+// Machine resolves the -topo flag to a machine preset, applying fallback
+// when it is empty.
+func Machine(topo, fallback string) (topology.Machine, error) {
 	name := topo
-	if name == "" {
-		name = machine
-	}
 	if name == "" {
 		name = fallback
 	}
@@ -273,14 +270,20 @@ func FaultSpecs(text string, seed int64) ([]*faults.Spec, error) {
 	return specs, nil
 }
 
+// FaultGrammar lists the -faults clauses (see faults.ParseSpec), for flag
+// help and parse errors alike.
+const FaultGrammar = "global=FRAC, local=FRAC, routers=K, router=ID, link=A-B, group=G, bundle=G1-G2, " +
+	"flap=link:A-B@MTBF:MTTR or router:ID@MTBF:MTTR, until=DUR, " +
+	"fail|repair=link:A-B|router:ID|group:G|bundle:G1-G2@DUR, seed=N"
+
 // FaultSpec parses the -faults grammar (see faults.ParseSpec) and applies
 // the -fault-seed override when seed is non-zero. An empty string yields the
 // empty spec, which downstream layers skip entirely.
 func FaultSpec(text string, seed int64) (*faults.Spec, error) {
 	s, err := faults.ParseSpec(text)
 	if err != nil {
-		return nil, fmt.Errorf("faults %q: %s (clauses: global=FRAC, local=FRAC, routers=K, router=ID, link=A-B, group=G, bundle=G1-G2, flap=link:A-B@MTBF:MTTR or router:ID@MTBF:MTTR, until=DUR, fail|repair=link:A-B|router:ID|group:G|bundle:G1-G2@DUR, seed=N)",
-			text, strings.TrimPrefix(err.Error(), "faults: "))
+		return nil, fmt.Errorf("faults %q: %s (clauses: %s)",
+			text, strings.TrimPrefix(err.Error(), "faults: "), FaultGrammar)
 	}
 	if seed != 0 {
 		s.Seed = seed

@@ -100,12 +100,6 @@ type Options struct {
 	// (figr), the learning-router comparison (figq), and the availability
 	// sweep (figf) drive their own fault specs and ignore this option.
 	Faults *faults.Spec
-	// DisablePooling turns off the allocation-avoidance machinery — the
-	// fabric's packet/credit free lists and the router path cache + hop
-	// arena — so every packet and route allocates fresh storage. Outputs
-	// are identical either way; the knob exists so the equivalence tests
-	// can prove it.
-	DisablePooling bool
 	// Farm, when non-nil, banks every simulation cell in the given
 	// content-addressed store and replays banked cells instead of
 	// re-simulating them. Results are bit-reproducible and records are
@@ -648,14 +642,9 @@ func (r *Runner) CellConfig(app string, cell core.Cell, msgScale float64, bg *wo
 }
 
 func (r *Runner) cellConfig(rq simReq) (core.Config, error) {
-	params := network.DefaultParams()
-	if r.opts.DisablePooling {
-		params.NoPacketPool = true
-		params.Route.NoCache = true
-	}
 	cfg := core.Config{
 		Topology:  r.Machine(),
-		Params:    params,
+		Params:    network.DefaultParams(),
 		Placement: rq.cell.Placement,
 		Routing:   rq.cell.Routing,
 		MsgScale:  rq.msgScale,

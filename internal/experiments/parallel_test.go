@@ -15,19 +15,11 @@ import (
 // count and returns the rendered text plus every CSV file's bytes.
 func renderReport(t *testing.T, id string, parallel int) (string, map[string]string) {
 	t.Helper()
-	return renderReportOpts(t, id, Options{Scale: ScaleQuick, Seed: 1, Parallel: parallel})
-}
-
-// renderReportOpts is renderReport with full control over the runner
-// options; DataDir is always overridden with a fresh temp dir.
-func renderReportOpts(t *testing.T, id string, opts Options) (string, map[string]string) {
-	t.Helper()
 	dir := t.TempDir()
-	opts.DataDir = dir
-	r := NewRunner(opts)
+	r := NewRunner(Options{Scale: ScaleQuick, Seed: 1, Parallel: parallel, DataDir: dir})
 	rep, err := r.Run(id)
 	if err != nil {
-		t.Fatalf("%s parallel=%d: %v", id, opts.Parallel, err)
+		t.Fatalf("%s parallel=%d: %v", id, parallel, err)
 	}
 	var buf bytes.Buffer
 	if err := rep.WriteText(&buf); err != nil {

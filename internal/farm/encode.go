@@ -18,15 +18,13 @@ import (
 	"fmt"
 	"strconv"
 	"strings"
-	"sync"
 
 	"dragonfly/internal/core"
-	"dragonfly/internal/trace"
 )
 
 // encodingVersion is bumped whenever the canonical encoding changes meaning,
 // so stale store entries become unreachable instead of silently wrong.
-const encodingVersion = 1
+const encodingVersion = 2
 
 // canonicalSpeccer is the optional machine capability the encoder requires:
 // a deterministic rendering of every shape field. topology.Config and
@@ -34,33 +32,6 @@ const encodingVersion = 1
 // (Encode fails) rather than riskily keyed on a lossy label.
 type canonicalSpeccer interface {
 	CanonicalSpec() string
-}
-
-// traceDigests memoizes trace content digests by pointer: experiment runners
-// regenerate identical traces per cell, and the digest walk is the only
-// O(trace) part of key construction.
-var traceDigests sync.Map // *trace.Trace -> uint64
-
-func digestOf(t *trace.Trace) uint64 {
-	if d, ok := traceDigests.Load(t); ok {
-		return d.(uint64)
-	}
-	d := t.Digest()
-	traceDigests.Store(t, d)
-	return d
-}
-
-// graphDigests memoizes graph content digests by pointer, mirroring
-// traceDigests for dependency-graph workloads.
-var graphDigests sync.Map // *trace.Graph -> uint64
-
-func graphDigestOf(g *trace.Graph) uint64 {
-	if d, ok := graphDigests.Load(g); ok {
-		return d.(uint64)
-	}
-	d := g.Digest()
-	graphDigests.Store(g, d)
-	return d
 }
 
 // coveredConfigFields, coveredParamsFields, coveredRouteFields, and
@@ -80,11 +51,11 @@ var (
 		"PacketBytes": true, "TerminalBandwidth": true, "LocalBandwidth": true,
 		"GlobalBandwidth": true, "TerminalLatency": true, "LocalLatency": true,
 		"GlobalLatency": true, "TerminalVCBuffer": true, "LocalVCBuffer": true,
-		"GlobalVCBuffer": true, "Route": true, "NoPacketPool": true,
+		"GlobalVCBuffer": true, "Route": true,
 	}
 	coveredRouteFields = map[string]bool{
 		"Gateway": true, "ValiantCandidates": true, "MinimalBias": true,
-		"NoCache": true, "CompactTables": true, "Health": true, "Policy": true,
+		"Health": true, "Policy": true,
 	}
 	coveredBackgroundFields = map[string]bool{
 		"Kind": true, "MsgBytes": true, "Interval": true, "FanOut": true,
@@ -130,11 +101,11 @@ func Encode(cfg core.Config) (string, error) {
 	if cfg.Graph != nil {
 		fmt.Fprintf(&b, "graph.app=%s\n", cfg.Graph.App)
 		fmt.Fprintf(&b, "graph.ranks=%d\n", cfg.Graph.NumRanks())
-		fmt.Fprintf(&b, "graph.digest=%016x\n", graphDigestOf(cfg.Graph))
+		fmt.Fprintf(&b, "graph.digest=%016x\n", cfg.Graph.Digest())
 	} else {
 		fmt.Fprintf(&b, "trace.app=%s\n", cfg.Trace.App)
 		fmt.Fprintf(&b, "trace.ranks=%d\n", cfg.Trace.NumRanks())
-		fmt.Fprintf(&b, "trace.digest=%016x\n", digestOf(cfg.Trace))
+		fmt.Fprintf(&b, "trace.digest=%016x\n", cfg.Trace.Digest())
 	}
 	// The replay layer treats any scale <= 0 as 1, so the encoder folds
 	// them together: MsgScale 0 and 1 are one configuration, one address.
@@ -152,14 +123,11 @@ func Encode(cfg core.Config) (string, error) {
 		int64(p.TerminalLatency), int64(p.LocalLatency), int64(p.GlobalLatency))
 	fmt.Fprintf(&b, "params.vcbuf=%d,%d,%d\n",
 		p.TerminalVCBuffer, p.LocalVCBuffer, p.GlobalVCBuffer)
-	fmt.Fprintf(&b, "params.no_packet_pool=%t\n", p.NoPacketPool)
 
 	ro := p.Route
 	fmt.Fprintf(&b, "route.gateway=%d\n", int(ro.Gateway))
 	fmt.Fprintf(&b, "route.valiant_candidates=%d\n", ro.ValiantCandidates)
 	fmt.Fprintf(&b, "route.minimal_bias=%d\n", ro.MinimalBias)
-	fmt.Fprintf(&b, "route.no_cache=%t\n", ro.NoCache)
-	fmt.Fprintf(&b, "route.compact_tables=%t\n", ro.CompactTables)
 	if ro.Policy != nil {
 		fmt.Fprintf(&b, "route.policy=%s\n", ro.Policy().Name())
 	} else {

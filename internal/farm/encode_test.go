@@ -179,12 +179,9 @@ func TestEveryFieldPerturbsAddress(t *testing.T) {
 		{"Params", "terminal vc buffer", func(c *core.Config) { c.Params.TerminalVCBuffer *= 2 }},
 		{"Params", "local vc buffer", func(c *core.Config) { c.Params.LocalVCBuffer *= 2 }},
 		{"Params", "global vc buffer", func(c *core.Config) { c.Params.GlobalVCBuffer *= 2 }},
-		{"Params", "no packet pool", func(c *core.Config) { c.Params.NoPacketPool = true }},
 		{"Params", "gateway policy", func(c *core.Config) { c.Params.Route.Gateway = routing.GatewayRandom }},
 		{"Params", "valiant candidates", func(c *core.Config) { c.Params.Route.ValiantCandidates = 4 }},
 		{"Params", "minimal bias", func(c *core.Config) { c.Params.Route.MinimalBias = 1024 }},
-		{"Params", "route no cache", func(c *core.Config) { c.Params.Route.NoCache = true }},
-		{"Params", "compact tables", func(c *core.Config) { c.Params.Route.CompactTables = true }},
 		{"Params", "custom policy", func(c *core.Config) {
 			c.Params.Route.Policy = func() routing.Policy { return routing.NewQAdaptivePolicy(routing.QAdaptiveConfig{}) }
 		}},
@@ -245,7 +242,7 @@ func TestEncodeStability(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.HasPrefix(enc, "dffarm-config v1\n") {
+	if !strings.HasPrefix(enc, "dffarm-config v2\n") {
 		t.Fatalf("encoding does not lead with its version line:\n%s", enc)
 	}
 

@@ -38,12 +38,6 @@ type Params struct {
 	// Route tunes secondary routing decisions; the zero value reproduces
 	// the paper's setup (nearest gateways, two Valiant candidates).
 	Route routing.Options
-
-	// NoPacketPool disables the fabric's packet and credit-token free
-	// lists, allocating fresh structs per packet as the pre-pooling code
-	// did. Results are identical either way; the knob exists for the
-	// pooling equivalence tests.
-	NoPacketPool bool
 }
 
 // DefaultParams returns the Theta channel parameters recorded in Sec. II of

@@ -2,7 +2,7 @@ package routing
 
 // Fault-aware routing: the degraded-fabric code path the chooser switches to
 // when Options.Health is set. It is deliberately separate from the healthy
-// builders in routing.go — the healthy hot path keeps its dense-table walk,
+// builders in routing.go — the healthy hot path keeps its table walk,
 // path cache, and zero-allocation profile untouched (guarded by the
 // bench-diff gate), while this path trades a little speed for routing around
 // dead equipment.
@@ -68,8 +68,8 @@ func (c *Chooser) RebuildHealth() {
 	}
 	rpg := c.routersPerGroup
 	if c.liveNextHop == nil {
-		// Sized independently of the healthy next-hop representation (which
-		// may be the shared template): one slot per (router, local dst).
+		// One slot per (router, local dst), independent of the healthy
+		// next table (usually the shared template).
 		n := c.numRouters * rpg
 		c.liveNextHop = make([]topology.RouterID, n)
 		c.liveDist = make([]int32, n)
@@ -284,7 +284,7 @@ func (c *Chooser) FaultMinimalPath(rs, rd topology.RouterID) (Path, error) {
 		c.putHops(hops)
 		return Path{}, &UnreachableError{Src: rs, Dst: rd}
 	}
-	return Path{Hops: hops, arena: c.useArena}, nil
+	return Path{Hops: hops, arena: true}, nil
 }
 
 // FaultValiantPath builds a non-minimal candidate on the faulted fabric. A
@@ -312,5 +312,5 @@ func (c *Chooser) FaultValiantPath(rs, rd topology.RouterID) (Path, bool) {
 		c.putHops(hops)
 		return Path{}, false
 	}
-	return Path{Hops: hops, arena: c.useArena}, true
+	return Path{Hops: hops, arena: true}, true
 }

@@ -181,19 +181,6 @@ type Options struct {
 	// bias of Aries/UGAL adaptive routing. 0 means the default
 	// (DefaultMinimalBias); negative disables the bias.
 	MinimalBias int64
-	// NoCache disables the deterministic minimal-path cache and the
-	// hop-slice arena, so every Route call builds fresh storage. Routes are
-	// identical either way (only paths whose construction draws no
-	// randomness are ever cached); the knob exists for the pooling
-	// equivalence tests and for memory-vs-speed debugging.
-	NoCache bool
-	// CompactTables forces the big-machine compressed/lazy route tables
-	// (shared intra-group template, lazily sharded gateway candidates,
-	// memoized path map) even below topology.DenseTableLimit, where the
-	// chooser would normally keep its dense flat arrays. Routes are
-	// identical in both modes; the knob exists for the equivalence tests
-	// and benchmarks.
-	CompactTables bool
 	// Health, when non-nil, switches the chooser to the fault-aware code
 	// path (see faultaware.go): routes avoid dead routers and links, fall
 	// back to non-minimal detours, and report ErrUnreachable from TryRoute
@@ -243,16 +230,9 @@ func (o Options) valiantCandidates() int {
 // they never regrow.
 const maxPathHops = 12
 
-// Cache states of one (srcRouter, dstRouter) pair.
-const (
-	cacheUnknown uint8 = iota // not yet classified
-	cacheShared               // deterministic; pathCache holds the shared hops
-	cacheNever                // construction draws randomness; always rebuilt
-)
-
 // Chooser computes routes for packets. It consumes the machine through the
 // topology.Interconnect seam, but only at construction: the per-route code
-// runs entirely on the dense tables below (plus the lazily built caches), so
+// runs entirely on the tables below (plus the lazily built caches), so
 // a new topology implementation pays no per-event interface-dispatch cost
 // and cannot perturb the hot path.
 type Chooser struct {
@@ -270,44 +250,32 @@ type Chooser struct {
 	// routerOf[n] is the router of node n; groupOf[r] the group of router r.
 	routerOf []topology.RouterID
 	groupOf  []int32
-	// Intra-group next hops come in two representations. tmplNext is the
-	// compressed one: the shared rpg x rpg group-0 template in local
-	// indices (all groups of every shipped dragonfly are isomorphic up to
-	// global wiring, verified at construction) — O(routersPerGroup^2)
-	// memory for the whole machine. nextHop is the dense fallback for a
-	// machine whose groups deviate: the machine's LocalNextHop flattened
-	// per group, (g*R+i)*R+j (R = routersPerGroup). Exactly one is non-nil.
-	tmplNext []int32
-	nextHop  []topology.RouterID
+	// Intra-group next hops in local indices: the router after local i on
+	// the canonical minimal route to local j in group g is
+	// next[g*nextStride + i*R + j] (R = routersPerGroup). Every shipped
+	// dragonfly's groups are isomorphic up to global wiring (verified at
+	// construction), so nextStride is 0 and all groups share one R x R
+	// template; a machine whose groups deviate gets one R x R table per
+	// group (nextStride = R*R) — O(routers x R) memory at worst.
+	next       []int32
+	nextStride int
 	// valiant enumerates the eligible Valiant intermediate routers.
 	valiant []topology.RouterID
 
 	// Gateway-candidate cache, per (router, destination group) — the hot
-	// lookup of every inter-group route, built lazily per entry. Small
-	// machines keep the dense flat index nearestGW (numRouters*numGroups
-	// headers); above topology.DenseTableLimit that index alone would be
-	// hundreds of MB, so big machines keep nearestGWShard instead: one
+	// lookup of every inter-group route, built lazily per entry: one
 	// per-router shard of numGroups slots, allocated on the first route
-	// leaving that router — memory O(touched routers x groups). Exactly
-	// one is non-nil.
-	nearestGW      [][]topology.Gateway
-	nearestGWShard [][][]topology.Gateway
+	// leaving that router — memory O(touched routers x groups).
+	nearestGW [][][]topology.Gateway
 
 	// Deterministic minimal-path cache. Pairs whose construction draws no
 	// randomness (same group, or a single gateway candidate) share one hop
 	// slice: serving the cached copy consumes the RNG stream exactly as a
-	// rebuild would, so results stay bit-identical. Small machines keep
-	// the dense tables pathCache/pathState ((numRouters)^2 entries,
-	// classified lazily); big machines keep pathMemo, a lazy map keyed by
-	// the router pair — a nil hops value records a never-cacheable pair.
-	// Memory is O(touched pairs) instead of O(routers^2); steady-state
-	// lookups are map reads, which allocate nothing.
-	pathCache [][]Hop
-	pathState []uint8
-	pathMemo  map[uint64][]Hop
-	// useArena enables the recycled hop-slice arena (off only with
-	// NoCache, which reproduces the historical fresh-allocation behavior).
-	useArena bool
+	// rebuild would, so results stay bit-identical. pathMemo is a lazy map
+	// keyed by the router pair; a nil hops value records a never-cacheable
+	// pair. Memory is O(touched pairs); steady-state lookups are map reads,
+	// which allocate nothing.
+	pathMemo map[uint64][]Hop
 
 	// freeHops is the scratch arena: hop slices recycled from delivered
 	// packets and discarded adaptive candidates. Each Chooser belongs to one
@@ -317,8 +285,9 @@ type Chooser struct {
 	candBuf []Path
 
 	// Degraded-mode state (all nil/unused while health is nil; see
-	// faultaware.go). liveNextHop/liveDist mirror the nextHop layout with
-	// BFS-over-live-links trees; the buffers are pickLiveGateway scratch.
+	// faultaware.go). liveNextHop/liveDist hold one slot per (router, local
+	// destination) with BFS-over-live-links trees; the buffers are
+	// pickLiveGateway scratch.
 	health      topology.Health
 	liveNextHop []topology.RouterID
 	liveDist    []int32
@@ -336,13 +305,11 @@ func NewChooser(topo topology.Interconnect, mech Mechanism, rng *des.RNG, cong C
 
 // NewChooserOpts builds a route chooser with explicit Options, resolving the
 // machine's node attachment, group membership, canonical intra-group next
-// hops, and Valiant intermediates into per-route tables. At or below
-// topology.DenseTableLimit routers those are the historical dense flat arrays
-// (the small-machine fast path every golden run takes); above the limit — or
-// under Options.CompactTables — the chooser keeps the compressed forms: one
-// shared intra-group next-hop template, per-router lazy gateway shards, and a
-// memoized path map, bounding memory by O(groups + touched pairs) instead of
-// O(routers^2). Routes are identical in both modes.
+// hops, and Valiant intermediates into per-route tables: one shared
+// intra-group next-hop template (per-group tables on a machine whose groups
+// deviate), per-router lazy gateway shards, and a memoized path map, bounding
+// memory by O(routers x routersPerGroup + touched pairs) rather than
+// O(routers^2).
 func NewChooserOpts(topo topology.Interconnect, mech Mechanism, rng *des.RNG, cong Congestion, opts Options) *Chooser {
 	if cong == nil {
 		cong = zeroCongestion{}
@@ -353,7 +320,6 @@ func NewChooserOpts(topo topology.Interconnect, mech Mechanism, rng *des.RNG, co
 		numGroups:  topo.NumGroups(),
 	}
 	c.routersPerGroup = c.numRouters / c.numGroups
-	compact := opts.CompactTables || c.numRouters > topology.DenseTableLimit
 
 	c.routerOf = make([]topology.RouterID, topo.NumNodes())
 	par.ForChunks(len(c.routerOf), func(lo, hi int) {
@@ -371,16 +337,17 @@ func NewChooserOpts(topo topology.Interconnect, mech Mechanism, rng *des.RNG, co
 	if tmpl, ok := topology.NewLocalTemplate(topo); ok {
 		// Group-isomorphic machine (all shipped variants): one shared
 		// rpg x rpg table serves every group's next-hop walk.
-		c.tmplNext = tmpl.Next
+		c.next = tmpl.Next
 	} else {
-		c.nextHop = make([]topology.RouterID, c.numGroups*rpg*rpg)
+		c.nextStride = rpg * rpg
+		c.next = make([]int32, c.numGroups*c.nextStride)
 		par.ForChunks(c.numGroups, func(lo, hi int) {
 			for g := lo; g < hi; g++ {
 				base := g * rpg
 				for i := 0; i < rpg; i++ {
 					for j := 0; j < rpg; j++ {
-						c.nextHop[(g*rpg+i)*rpg+j] = topo.LocalNextHop(
-							topology.RouterID(base+i), topology.RouterID(base+j))
+						c.next[g*c.nextStride+i*rpg+j] = int32(topo.LocalNextHop(
+							topology.RouterID(base+i), topology.RouterID(base+j))) - int32(base)
 					}
 				}
 			}
@@ -390,21 +357,8 @@ func NewChooserOpts(topo topology.Interconnect, mech Mechanism, rng *des.RNG, co
 	for i := range c.valiant {
 		c.valiant[i] = topo.ValiantRouter(i)
 	}
-	if compact {
-		c.nearestGWShard = make([][][]topology.Gateway, c.numRouters)
-	} else {
-		c.nearestGW = make([][]topology.Gateway, c.numRouters*c.numGroups)
-	}
-	if !opts.NoCache {
-		if compact {
-			c.pathMemo = make(map[uint64][]Hop)
-		} else {
-			n := c.numRouters * c.numRouters
-			c.pathCache = make([][]Hop, n)
-			c.pathState = make([]uint8, n)
-		}
-		c.useArena = true
-	}
+	c.nearestGW = make([][][]topology.Gateway, c.numRouters)
+	c.pathMemo = make(map[uint64][]Hop)
 	c.health = opts.Health
 	c.RebuildHealth()
 	if opts.Policy != nil {
@@ -417,12 +371,8 @@ func NewChooserOpts(topo topology.Interconnect, mech Mechanism, rng *des.RNG, co
 }
 
 // getHops returns an empty hop slice for path construction: recycled arena
-// storage when available, fresh otherwise. With NoCache the arena is off and
-// construction appends from nil, the historical behavior.
+// storage when available, fresh otherwise.
 func (c *Chooser) getHops() []Hop {
-	if c.opts.NoCache {
-		return nil
-	}
 	if n := len(c.freeHops); n > 0 {
 		s := c.freeHops[n-1]
 		c.freeHops = c.freeHops[:n-1]
@@ -477,25 +427,16 @@ func (c *Chooser) TryRoute(src, dst topology.NodeID) (Path, error) {
 
 // appendLocalDOR appends the machine's canonical minimal intra-group segment
 // from cur to dst (same group) using the given local VC class, returning
-// dst. The segment is the nextHop table walked to the destination — on the
+// dst. The segment is the next table walked to the destination — on the
 // XC40 grid that is the historical row-first-then-column dimension order.
 func (c *Chooser) appendLocalDOR(hops []Hop, cur, dst topology.RouterID, class uint8) ([]Hop, topology.RouterID) {
-	if c.tmplNext != nil {
-		rpg := c.routersPerGroup
-		for cur != dst {
-			// Template walk in local indices, shifted by the group base.
-			base := int(c.groupOf[cur]) * rpg
-			next := topology.RouterID(base) +
-				topology.RouterID(c.tmplNext[(int(cur)-base)*rpg+int(dst)-base])
-			hops = append(hops, Hop{From: cur, To: next, Kind: Local, VC: class})
-			cur = next
-		}
-		return hops, cur
-	}
+	rpg := c.routersPerGroup
+	g := int(c.groupOf[cur])
+	base := g * rpg
+	tbl := c.next[g*c.nextStride:]
 	for cur != dst {
-		// Table layout (g*R+i)*R+j collapses to cur*R + (dst - g*R).
-		base := int(c.groupOf[cur]) * c.routersPerGroup
-		next := c.nextHop[int(cur)*c.routersPerGroup+int(dst)-base]
+		// Walk in local indices, shifted by the group base.
+		next := topology.RouterID(base) + topology.RouterID(tbl[(int(cur)-base)*rpg+int(dst)-base])
 		hops = append(hops, Hop{From: cur, To: next, Kind: Local, VC: class})
 		cur = next
 	}
@@ -549,19 +490,14 @@ func (c *Chooser) pickGateway(cur topology.RouterID, gs, gd int) topology.Gatewa
 // (GatewayNearest), or every gateway within one local hop (GatewaySpread,
 // falling back to nearest when none is that close).
 func (c *Chooser) gatewayCandidates(cur topology.RouterID, gs, gd int) []topology.Gateway {
-	// Resolve the cache slot for (cur, gd): dense flat index on small
-	// machines, the router's lazily allocated shard on big ones.
-	var slot *[]topology.Gateway
-	if c.nearestGW != nil {
-		slot = &c.nearestGW[int(cur)*c.numGroups+gd]
-	} else {
-		shard := c.nearestGWShard[cur]
-		if shard == nil {
-			shard = make([][]topology.Gateway, c.numGroups)
-			c.nearestGWShard[cur] = shard
-		}
-		slot = &shard[gd]
+	// Resolve the cache slot for (cur, gd) in the router's lazily
+	// allocated shard.
+	shard := c.nearestGW[cur]
+	if shard == nil {
+		shard = make([][]topology.Gateway, c.numGroups)
+		c.nearestGW[cur] = shard
 	}
+	slot := &shard[gd]
 	if cand := *slot; cand != nil {
 		return cand
 	}
@@ -615,47 +551,29 @@ func (c *Chooser) minimalDeterministic(rs, rd topology.RouterID) bool {
 // healthy fabric — the chooser's primary construction primitive, served
 // from the deterministic path cache when the pair qualifies.
 func (c *Chooser) MinimalPath(rs, rd topology.RouterID) Path {
-	if c.pathState != nil {
-		idx := int(rs)*c.numRouters + int(rd)
-		switch c.pathState[idx] {
-		case cacheShared:
-			return Path{Hops: c.pathCache[idx]}
-		case cacheUnknown:
-			if c.minimalDeterministic(rs, rd) {
-				// Build once into dedicated storage and share it from now
-				// on; construction draws no randomness, so serving the
-				// cache is observationally identical to rebuilding.
-				var st segmentState
-				hops, _ := c.appendMinimal(nil, rs, rd, &st)
-				c.pathCache[idx] = hops
-				c.pathState[idx] = cacheShared
-				return Path{Hops: hops}
-			}
-			c.pathState[idx] = cacheNever
-		}
-	} else if c.pathMemo != nil {
-		// Big-machine memo: rs != rd always holds here (TryRoute returns
-		// early for same-router pairs), so a cached deterministic path is
-		// never empty — a nil value therefore unambiguously records a
-		// never-cacheable pair. Map reads allocate nothing, keeping the
-		// steady state at 0 allocs/op.
-		key := uint64(uint32(rs))<<32 | uint64(uint32(rd))
-		if hops, hit := c.pathMemo[key]; hit {
-			if hops != nil {
-				return Path{Hops: hops}
-			}
-		} else if c.minimalDeterministic(rs, rd) {
-			var st segmentState
-			hops, _ := c.appendMinimal(nil, rs, rd, &st)
-			c.pathMemo[key] = hops
+	// rs != rd always holds here (TryRoute returns early for same-router
+	// pairs), so a cached deterministic path is never empty — a nil value
+	// therefore unambiguously records a never-cacheable pair. Map reads
+	// allocate nothing, keeping the steady state at 0 allocs/op.
+	key := uint64(uint32(rs))<<32 | uint64(uint32(rd))
+	if hops, hit := c.pathMemo[key]; hit {
+		if hops != nil {
 			return Path{Hops: hops}
-		} else {
-			c.pathMemo[key] = nil
 		}
+	} else if c.minimalDeterministic(rs, rd) {
+		// Build once into dedicated storage and share it from now on;
+		// construction draws no randomness, so serving the cache is
+		// observationally identical to rebuilding.
+		var st segmentState
+		hops, _ := c.appendMinimal(nil, rs, rd, &st)
+		c.pathMemo[key] = hops
+		return Path{Hops: hops}
+	} else {
+		c.pathMemo[key] = nil
 	}
 	var st segmentState
 	hops, _ := c.appendMinimal(c.getHops(), rs, rd, &st)
-	return Path{Hops: hops, arena: c.useArena}
+	return Path{Hops: hops, arena: true}
 }
 
 // ValiantPath routes minimally to a random intermediate router (drawn from
@@ -672,7 +590,7 @@ func (c *Chooser) ValiantPath(rs, rd topology.RouterID) Path {
 	hops, cur := c.appendMinimal(c.getHops(), rs, mid, &st)
 	st.midsPassed++
 	hops, _ = c.appendMinimal(hops, cur, rd, &st)
-	return Path{Hops: hops, arena: c.useArena}
+	return Path{Hops: hops, arena: true}
 }
 
 func pickBest(c *Chooser, paths []Path) (int, int64) {

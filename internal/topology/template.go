@@ -9,27 +9,17 @@ import (
 // Group-isomorphism templates. Every dragonfly variant this repository ships
 // wires all groups identically up to the global-port assignment: the local
 // next-hop function and the local neighbor lists of group g are those of
-// group 0 shifted by g*RoutersPerGroup. Consumers that used to resolve dense
-// per-router tables (the routing chooser's next-hop walk, the fabric's
-// router-pair link index) can therefore keep one rpg x rpg template instead
-// of G of them — the "shared intra-group template" half of the big-machine
-// table compression (see DESIGN.md "Memory discipline & table compression").
+// group 0 shifted by g*RoutersPerGroup. Consumers that resolve intra-group
+// tables (the routing chooser's next-hop walk, the fabric's router-pair link
+// index) can therefore keep one rpg x rpg template instead of G of them — the
+// "shared intra-group template" half of the table compression (see DESIGN.md
+// "Memory discipline & table compression").
 //
 // Isomorphism is verified, not assumed: NewLocalTemplate compares every
 // group against the group-0 template (sharded across the par worker pool)
-// and reports !ok on the first deviation, in which case consumers fall back
-// to their dense per-group tables. A future interconnect with heterogeneous
-// groups is therefore still correct — it just pays the dense memory bill.
-
-// DenseTableLimit is the router count up to which consumers keep their
-// historical dense O(routers^2) lookup tables (router-pair link index, shared
-// route-path cache). At or below the limit the dense tables are at most a few
-// MB and the flat-array fast path wins; above it they would grow quadratically
-// (a 20k-router machine would need ~10 GB of path-cache headers alone), so
-// consumers switch to the template/lazy representations. The paper-scale
-// machines (Theta: 864 routers, DF+: 324) sit comfortably below the limit, so
-// every golden run takes the dense fast path unchanged.
-const DenseTableLimit = 1024
+// and reports !ok on the first deviation, in which case consumers keep one
+// rpg x rpg table per group. A future interconnect with heterogeneous groups
+// is therefore still correct — it just pays O(routers x rpg) memory.
 
 // LocalTemplate is the group-0 intra-group structure of a group-isomorphic
 // machine, expressed in local router indices (0..RPG-1).
@@ -57,7 +47,7 @@ func (t *LocalTemplate) Neighbors(i int) []int32 {
 // neighbor lists, shifted by the group base). Verification is sharded by
 // group across the par worker pool; its cost is O(routers x routersPerGroup),
 // linear in machine size for a fixed group shape. ok is false when any group
-// deviates — consumers must then fall back to dense per-group tables.
+// deviates — consumers must then fall back to per-group tables.
 func NewLocalTemplate(ic Interconnect) (tmpl *LocalTemplate, ok bool) {
 	groups := ic.NumGroups()
 	if groups == 0 || ic.NumRouters()%groups != 0 {

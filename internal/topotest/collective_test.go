@@ -1,9 +1,9 @@
 // Determinism suite for the dependency-graph collective workloads: the
 // graph executor must be exactly as reproducible as the flat replayer it
-// replaced. Every knob that is contractually observation-only — re-running,
-// RunBatch worker counts, the invariant auditor, the allocation pools —
-// must leave a collective cell's full Result digest (clocks, events, comm
-// times, link stats) bit-identical.
+// replaced. Every cell must reproduce its pinned Result digest (clocks,
+// events, comm times, link stats), and everything that is contractually
+// observation-only — re-running, RunBatch worker counts, the invariant
+// auditor — must leave it bit-identical.
 package topotest_test
 
 import (
@@ -52,18 +52,36 @@ func collectiveConfig(t *testing.T, preset string, g *trace.Graph, place placeme
 	}
 }
 
+// pinnedCollectives are the cell digests recorded when the packet/credit
+// pools and the route cache could still be switched off, and pooled and
+// unpooled runs were proven digest-identical on every cell.
+var pinnedCollectives = map[string]string{
+	"mini/RING/cont":        "4fb4009149fe696e",
+	"mini/RING/rand":        "2272b00d7226fa4a",
+	"mini/MOE/cont":         "8572ab6d4cb8276c",
+	"mini/MOE/rand":         "4c6674d3fd17cf8b",
+	"dfplus-mini/RING/cont": "b15215d700742901",
+	"dfplus-mini/RING/rand": "9df132465435426a",
+	"dfplus-mini/MOE/cont":  "2b87c3761529a3c7",
+	"dfplus-mini/MOE/rand":  "c1f379cd8f1ce956",
+}
+
 // TestCollectiveDeterminism proves, per machine x collective x placement
-// cell, that a rerun, the auditor, and disabled pooling all reproduce the
-// baseline digest exactly.
+// cell, that the run reproduces its pinned digest and that a rerun and the
+// auditor reproduce it exactly.
 func TestCollectiveDeterminism(t *testing.T) {
 	graphs := collectiveGraphs(t)
 	for _, preset := range []string{"mini", "dfplus-mini"} {
 		for _, app := range []string{"RING", "MOE"} {
 			for _, place := range []placement.Policy{placement.Contiguous, placement.RandomNode} {
 				preset, app, place := preset, app, place
-				t.Run(fmt.Sprintf("%s/%s/%s", preset, app, place), func(t *testing.T) {
+				name := fmt.Sprintf("%s/%s/%s", preset, app, place)
+				t.Run(name, func(t *testing.T) {
 					t.Parallel()
 					base := policytest.SimDigest(t, collectiveConfig(t, preset, graphs[app], place))
+					if want := pinnedCollectives[name]; base != want {
+						t.Errorf("digest %s, pinned %s", base, want)
+					}
 
 					if got := policytest.SimDigest(t, collectiveConfig(t, preset, graphs[app], place)); got != base {
 						t.Errorf("rerun digest %s, want %s", got, base)
@@ -72,12 +90,6 @@ func TestCollectiveDeterminism(t *testing.T) {
 					audited.Audit = true
 					if got := policytest.SimDigest(t, audited); got != base {
 						t.Errorf("audited digest %s, want %s — the auditor perturbed the run", got, base)
-					}
-					unpooled := collectiveConfig(t, preset, graphs[app], place)
-					unpooled.Params.NoPacketPool = true
-					unpooled.Params.Route.NoCache = true
-					if got := policytest.SimDigest(t, unpooled); got != base {
-						t.Errorf("pooling-off digest %s, want %s — the pools leaked into results", got, base)
 					}
 				})
 			}

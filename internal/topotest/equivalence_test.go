@@ -2,9 +2,10 @@
 // testdata/equivalence.json were generated from the pre-SPI chooser (the
 // hard-coded minimal/adaptive switch), and every refactor since must
 // reproduce them bit for bit — routes, unreachability errors, RNG stream
-// positions, link statistics, and simulation clocks, across both table
-// regimes and healthy/faulted fabrics. Refresh (only when a behavior
-// change is intended and understood) with:
+// positions, link statistics, and simulation clocks, across healthy and
+// faulted fabrics. Each digest was also reproduced by the dense
+// O(routers^2) route and link tables while they existed. Refresh (only when
+// a behavior change is intended and understood) with:
 //
 //	UPDATE_EQUIV=1 go test ./internal/topotest -run TestPolicyEquivalence
 //
@@ -38,42 +39,31 @@ const equivFile = "testdata/equivalence.json"
 // committed digests.
 const equivSeed = 11
 
-func tableName(compact bool) string {
-	if compact {
-		return "compact"
-	}
-	return "dense"
-}
-
 // routeCells enumerates the chooser-level grid: preset x mechanism x
-// healthy/faulted x dense/compact, plus the gateway-policy ablations the
+// healthy/faulted, plus the gateway-policy ablations the
 // SPI also absorbed.
 func routeCells() map[string]func(t *testing.T) string {
 	cells := map[string]func(t *testing.T) string{}
 	for _, preset := range []string{"mini", "dfplus-mini"} {
 		for _, mech := range []routing.Mechanism{routing.Minimal, routing.Adaptive} {
 			for _, frac := range []float64{0, 0.15} {
-				for _, compact := range []bool{false, true} {
-					preset, mech, frac, compact := preset, mech, frac, compact
-					name := fmt.Sprintf("route/%s/%s/fault=%.2f/%s",
-						preset, mech, frac, tableName(compact))
-					cells[name] = func(t *testing.T) string {
-						ic := buildPreset(t, preset)
-						return policytest.RouteDigest(t, ic, policytest.RouteSpec{
-							Mech:   mech,
-							Opts:   routing.Options{CompactTables: compact},
-							Seed:   equivSeed,
-							Salt:   3,
-							Faults: frac,
-						})
-					}
+				preset, mech, frac := preset, mech, frac
+				name := fmt.Sprintf("route/%s/%s/fault=%.2f", preset, mech, frac)
+				cells[name] = func(t *testing.T) string {
+					ic := buildPreset(t, preset)
+					return policytest.RouteDigest(t, ic, policytest.RouteSpec{
+						Mech:   mech,
+						Seed:   equivSeed,
+						Salt:   3,
+						Faults: frac,
+					})
 				}
 			}
 		}
 	}
 	for _, gw := range []routing.GatewayPolicy{routing.GatewayNearest, routing.GatewayRandom} {
 		gw := gw
-		name := fmt.Sprintf("route/mini/min/gateway=%d/dense", gw)
+		name := fmt.Sprintf("route/mini/min/gateway=%d", gw)
 		cells[name] = func(t *testing.T) string {
 			ic := buildPreset(t, "mini")
 			return policytest.RouteDigest(t, ic, policytest.RouteSpec{
@@ -88,7 +78,7 @@ func routeCells() map[string]func(t *testing.T) string {
 }
 
 // simCells enumerates full-simulation cells: preset x placement x
-// mechanism x healthy/faulted x dense/compact, each a small crystal-router
+// mechanism x healthy/faulted, each a small crystal-router
 // replay whose Result (clocks, events, comm times, link stats, drops) is
 // digested whole.
 func simCells() map[string]func(t *testing.T) string {
@@ -97,13 +87,10 @@ func simCells() map[string]func(t *testing.T) string {
 		for _, place := range []placement.Policy{placement.Contiguous, placement.RandomNode} {
 			for _, mech := range []routing.Mechanism{routing.Minimal, routing.Adaptive} {
 				for _, frac := range []float64{0, 0.15} {
-					for _, compact := range []bool{false, true} {
-						preset, place, mech, frac, compact := preset, place, mech, frac, compact
-						name := fmt.Sprintf("sim/%s/%s-%s/fault=%.2f/%s",
-							preset, place, mech, frac, tableName(compact))
-						cells[name] = func(t *testing.T) string {
-							return policytest.SimDigest(t, simConfig(t, preset, place, mech, frac, compact))
-						}
+					preset, place, mech, frac := preset, place, mech, frac
+					name := fmt.Sprintf("sim/%s/%s-%s/fault=%.2f", preset, place, mech, frac)
+					cells[name] = func(t *testing.T) string {
+						return policytest.SimDigest(t, simConfig(t, preset, place, mech, frac))
 					}
 				}
 			}
@@ -125,7 +112,7 @@ func buildPreset(t *testing.T, preset string) topology.Interconnect {
 	return ic
 }
 
-func simConfig(t *testing.T, preset string, place placement.Policy, mech routing.Mechanism, frac float64, compact bool) core.Config {
+func simConfig(t *testing.T, preset string, place placement.Policy, mech routing.Mechanism, frac float64) core.Config {
 	t.Helper()
 	m, err := topology.Preset(preset)
 	if err != nil {
@@ -144,7 +131,6 @@ func simConfig(t *testing.T, preset string, place placement.Policy, mech routing
 		Seed:           equivSeed,
 		WatchdogEvents: 10_000_000_000,
 	}
-	cfg.Params.Route.CompactTables = compact
 	if frac > 0 {
 		cfg.Faults = &faults.Spec{GlobalFrac: frac, Seed: equivSeed + 1}
 	}

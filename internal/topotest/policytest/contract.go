@@ -15,8 +15,8 @@ import (
 // Contract is the acceptance suite every routing.Policy implementation must
 // pass — built-ins, the learning policy, and any out-of-tree policy written
 // against the exported Chooser surface. It checks the contract stated on
-// routing.Policy on small XC40 and Dragonfly+ machines, in both the dense
-// and compact table regimes, healthy and degraded:
+// routing.Policy on small XC40 and Dragonfly+ machines, healthy and
+// degraded:
 //
 //   - validity: every emitted route passes routing.Validate, and on a
 //     faulted fabric touches only live routers and links;
@@ -35,26 +35,19 @@ func Contract(t *testing.T, factory routing.PolicyFactory) {
 		{"dfplus-mini", topotest.PlusMini(t)},
 	}
 	for _, m := range machines {
-		for _, compact := range []bool{false, true} {
-			for _, frac := range []float64{0, 0.2} {
-				regime := "dense"
-				if compact {
-					regime = "compact"
-				}
-				name := fmt.Sprintf("%s/%s/fault=%.2f", m.name, regime, frac)
-				ic, cp, fr := m.ic, compact, frac
-				t.Run(name, func(t *testing.T) {
-					contractCell(t, ic, factory, cp, fr)
-				})
-			}
+		for _, frac := range []float64{0, 0.2} {
+			ic, fr := m.ic, frac
+			t.Run(fmt.Sprintf("%s/fault=%.2f", m.name, frac), func(t *testing.T) {
+				contractCell(t, ic, factory, fr)
+			})
 		}
 	}
 }
 
-func contractCell(t *testing.T, ic topology.Interconnect, factory routing.PolicyFactory, compact bool, frac float64) {
+func contractCell(t *testing.T, ic topology.Interconnect, factory routing.PolicyFactory, frac float64) {
 	t.Helper()
 	const seed = 23
-	opts := routing.Options{Policy: factory, CompactTables: compact}
+	opts := routing.Options{Policy: factory}
 	var liveGlobal map[[2]topology.RouterID]bool
 	if frac > 0 {
 		set, err := faults.Resolve(&faults.Spec{GlobalFrac: frac, Seed: seed + 1}, ic)

@@ -5,6 +5,7 @@ import (
 
 	"dragonfly/internal/core"
 	"dragonfly/internal/des"
+	"dragonfly/internal/faults"
 	"dragonfly/internal/network"
 	"dragonfly/internal/placement"
 	"dragonfly/internal/routing"
@@ -141,4 +142,40 @@ func TestAuditCleanEveryMachine(t *testing.T) {
 			}
 		}
 	})
+}
+
+// TestNonIsomorphicMachineAuditedBurst runs a crystal-router burst on a
+// machine whose groups are not isomorphic, so the chooser and the fabric
+// both take their per-group tables, under the invariant auditor and the
+// stall watchdog, healthy and with faulted global links. Every run must
+// complete with a clean audit.
+func TestNonIsomorphicMachineAuditedBurst(t *testing.T) {
+	tr, err := trace.CR(trace.CRConfig{Ranks: 32, MessageBytes: 16 * trace.KB})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, mech := range []routing.Mechanism{routing.Minimal, routing.Adaptive} {
+		for _, fs := range []*faults.Spec{nil, {GlobalFrac: 0.15, LocalFrac: 0.05, Seed: 3}} {
+			res, err := core.Run(core.Config{
+				Topology:       topotest.NonIsomorphicMini{},
+				Params:         network.DefaultParams(),
+				Placement:      placement.RandomNode,
+				Routing:        mech,
+				Trace:          tr,
+				Seed:           9,
+				Faults:         fs,
+				Audit:          true,
+				WatchdogEvents: 1_000_000,
+			})
+			if err != nil {
+				t.Fatalf("%v faults=%v: %v", mech, fs, err)
+			}
+			if !res.Completed {
+				t.Fatalf("%v faults=%v: run did not complete", mech, fs)
+			}
+			if res.Audit == nil || len(res.Audit.Violations) != 0 {
+				t.Fatalf("%v faults=%v: audit summary missing or dirty: %+v", mech, fs, res.Audit)
+			}
+		}
+	}
 }

@@ -4,8 +4,9 @@
 // IR), and the graph executor that replaced it must reproduce them bit for
 // bit — simulation clocks, event counts, per-rank communication times, link
 // statistics, and drop accounting, across machine x application x placement
-// x dense/compact table cells under adaptive routing (the RNG-consuming
-// mechanism, so a divergence in route-draw order fails too). Refresh (only
+// cells under adaptive routing (the RNG-consuming mechanism, so a divergence
+// in route-draw order fails too). Each digest was also reproduced by the
+// dense O(routers^2) route and link tables while they existed. Refresh (only
 // when a behavior change is intended and understood) with:
 //
 //	UPDATE_EQUIV=1 go test ./internal/topotest -run TestReplayEquivalence
@@ -57,8 +58,8 @@ func replayApps(t *testing.T) map[string]*trace.Trace {
 	return map[string]*trace.Trace{"CR": cr, "FB": fb, "AMG": amg}
 }
 
-// replayCells enumerates the differential grid: machine x app x placement x
-// dense/compact, each a full simulation under adaptive routing whose Result
+// replayCells enumerates the differential grid: machine x app x placement,
+// each a full simulation under adaptive routing whose Result
 // is digested whole.
 func replayCells(t *testing.T) map[string]func(t *testing.T) string {
 	t.Helper()
@@ -67,26 +68,22 @@ func replayCells(t *testing.T) map[string]func(t *testing.T) string {
 	for _, preset := range []string{"mini", "dfplus-mini"} {
 		for _, app := range []string{"CR", "FB", "AMG"} {
 			for _, place := range []placement.Policy{placement.Contiguous, placement.RandomNode} {
-				for _, compact := range []bool{false, true} {
-					preset, app, place, compact := preset, app, place, compact
-					name := fmt.Sprintf("replay/%s/%s/%s/%s", preset, app, place, tableName(compact))
-					cells[name] = func(t *testing.T) string {
-						m, err := topology.Preset(preset)
-						if err != nil {
-							t.Fatalf("preset %s: %v", preset, err)
-						}
-						cfg := core.Config{
-							Topology:       m,
-							Params:         network.DefaultParams(),
-							Placement:      place,
-							Routing:        routing.Adaptive,
-							Trace:          apps[app],
-							Seed:           replayEquivSeed,
-							WatchdogEvents: 10_000_000_000,
-						}
-						cfg.Params.Route.CompactTables = compact
-						return policytest.SimDigest(t, cfg)
+				preset, app, place := preset, app, place
+				name := fmt.Sprintf("replay/%s/%s/%s", preset, app, place)
+				cells[name] = func(t *testing.T) string {
+					m, err := topology.Preset(preset)
+					if err != nil {
+						t.Fatalf("preset %s: %v", preset, err)
 					}
+					return policytest.SimDigest(t, core.Config{
+						Topology:       m,
+						Params:         network.DefaultParams(),
+						Placement:      place,
+						Routing:        routing.Adaptive,
+						Trace:          apps[app],
+						Seed:           replayEquivSeed,
+						WatchdogEvents: 10_000_000_000,
+					})
 				}
 			}
 		}

@@ -1,9 +1,8 @@
 package topotest_test
 
-// Property tests on synthesized >=5k-router machines — an order of magnitude
-// past topology.DenseTableLimit, so they exercise the shared local template,
-// the lazy gateway shards, and the path memo that the preset-sized suites
-// never touch. Everything here samples rather than sweeps: the whole file
+// Property tests on synthesized >=5k-router machines — several times the
+// paper's Theta — so the shared local template, the lazy gateway shards, and
+// the path memo run at a scale the preset-sized suites never reach. Everything here samples rather than sweeps: the whole file
 // must stay comfortably under ten seconds so it runs in the ordinary test
 // tier, not a nightly job.
 
@@ -128,7 +127,7 @@ func TestScaleSymmetryInvariants(t *testing.T) {
 
 		tmpl, ok := topology.NewLocalTemplate(ic)
 		if !ok {
-			t.Fatal("synthesized machine is not group-isomorphic — the scale fast path would fall back to dense tables")
+			t.Fatal("synthesized machine is not group-isomorphic — the tables would fall back to one per group")
 		}
 		rng := des.NewRNG(19, "scale-sym")
 		for i := 0; i < 2000; i++ {

@@ -83,3 +83,48 @@ func EachSmall(t *testing.T, f func(t *testing.T, m topology.Machine, ic topolog
 		})
 	}
 }
+
+// NonIsomorphic wraps a Dragonfly and breaks group isomorphism in group 1:
+// its canonical local route takes the column hop before the row hop, and
+// its routers list their local neighbors in reverse order. No shipped
+// machine deviates like this, so it is the only way to drive the routing
+// and fabric tables down their per-group path (topology.NewLocalTemplate
+// refuses it). Both deviations are still valid dragonfly wiring.
+type NonIsomorphic struct{ *topology.Dragonfly }
+
+func (m NonIsomorphic) LocalNextHop(cur, dst topology.RouterID) topology.RouterID {
+	if m.GroupOfRouter(cur) == 1 && cur != dst {
+		cc, cd := m.RouterCoord(cur), m.RouterCoord(dst)
+		if cc.Row != cd.Row {
+			return m.RouterAt(cc.Group, cd.Row, cc.Col)
+		}
+		return dst
+	}
+	return m.Dragonfly.LocalNextHop(cur, dst)
+}
+
+func (m NonIsomorphic) LocalNeighbors(r topology.RouterID) []topology.RouterID {
+	nbrs := m.Dragonfly.LocalNeighbors(r)
+	if m.GroupOfRouter(r) != 1 {
+		return nbrs
+	}
+	rev := make([]topology.RouterID, len(nbrs))
+	for i, v := range nbrs {
+		rev[len(nbrs)-1-i] = v
+	}
+	return rev
+}
+
+// NonIsomorphicMini is the topology.Machine that builds NonIsomorphic over
+// the mini machine, for full simulations through core.Run.
+type NonIsomorphicMini struct{}
+
+func (NonIsomorphicMini) Build() (topology.Interconnect, error) {
+	d, err := topology.New(topology.Mini())
+	if err != nil {
+		return nil, err
+	}
+	return NonIsomorphic{d}, nil
+}
+
+func (NonIsomorphicMini) Label() string { return "nonisomorphic-" + topology.Mini().Label() }

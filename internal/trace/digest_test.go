@@ -1,6 +1,9 @@
 package trace
 
-import "testing"
+import (
+	"sync"
+	"testing"
+)
 
 func digestTrace(t *testing.T) *Trace {
 	t.Helper()
@@ -40,4 +43,33 @@ func TestDigestSensitivity(t *testing.T) {
 	mutate("op bytes", func(tr *Trace) { tr.Ranks[0][0].Bytes++ })
 	mutate("op tag", func(tr *Trace) { tr.Ranks[0][0].Tag++ })
 	mutate("dropped op", func(tr *Trace) { tr.Ranks[0] = tr.Ranks[0][:len(tr.Ranks[0])-1] })
+}
+
+// TestMemosConcurrent: a trace shared by parallel sweep workers is digested
+// and lowered from several goroutines at once; every caller must see the
+// same digest and the same lowered graph.
+func TestMemosConcurrent(t *testing.T) {
+	tr := digestTrace(t)
+	want := digestTrace(t).Digest()
+	const workers = 8
+	graphs := make([]*Graph, workers)
+	digests := make([]uint64, workers)
+	var wg sync.WaitGroup
+	for i := 0; i < workers; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			digests[i] = tr.Digest()
+			graphs[i] = tr.Graph()
+		}(i)
+	}
+	wg.Wait()
+	for i := range graphs {
+		if digests[i] != want {
+			t.Errorf("worker %d: digest %x, want %x", i, digests[i], want)
+		}
+		if graphs[i] != graphs[0] {
+			t.Errorf("worker %d got a different lowered graph", i)
+		}
+	}
 }

@@ -17,7 +17,7 @@ package trace
 
 import (
 	"fmt"
-	"sync"
+	"sync/atomic"
 
 	"dragonfly/internal/des"
 )
@@ -70,6 +70,10 @@ type GraphNode struct {
 type Graph struct {
 	App   string
 	Ranks [][]GraphNode // Ranks[i] is rank i's DAG in topological (index) order
+
+	// digest memoizes Digest (0 until computed); graphs are immutable once
+	// built, like traces.
+	digest atomic.Uint64
 }
 
 // NumRanks returns the rank count.
@@ -136,8 +140,18 @@ func (g *Graph) TotalSendBytes() int64 {
 // the rank count, and every rank's node list (kind, peer, bytes, tag, delay,
 // dependency edges). Two graphs share a digest exactly when they replay
 // identically, which is what lets the farm's content-addressed cache key a
-// graph workload by its structure instead of its label.
+// graph workload by its structure instead of its label. The digest is
+// memoized on the graph.
 func (g *Graph) Digest() uint64 {
+	if d := g.digest.Load(); d != 0 {
+		return d
+	}
+	d := g.computeDigest()
+	g.digest.Store(d)
+	return d
+}
+
+func (g *Graph) computeDigest() uint64 {
 	const (
 		offset64 = 14695981039346656037
 		prime64  = 1099511628211
@@ -368,26 +382,21 @@ func (g *Graph) CriticalPathBytes() int64 {
 	return max
 }
 
-// graphCache memoizes lowered graphs by trace pointer. Traces are immutable
-// after construction (the farm's content addressing already relies on
-// that), so a pointer identity hit is a content hit; repeated runs of one
-// trace — sweeps, the farm, benchmarks — lower it exactly once.
-var graphCache sync.Map // *Trace -> *Graph
-
 // Graph lowers a flat trace into the dependency-graph IR. Sends and
 // receives become nodes depending on the previous fence's join; each
 // WaitAll fence becomes a zero-delay compute node depending on every
 // operation posted since the previous fence. Executing the lowered graph
 // (ready nodes in index order, joins completing inline) reproduces the
 // fence-based replayer's behavior byte for byte — the property the
-// committed differential digests pin. The result is memoized per trace and
-// must not be mutated.
+// committed differential digests pin. The result is memoized on the trace,
+// so repeated runs of one trace — sweeps, the farm, benchmarks — lower it
+// exactly once; it must not be mutated.
 func (t *Trace) Graph() *Graph {
-	if g, ok := graphCache.Load(t); ok {
-		return g.(*Graph)
+	if g := t.graph.Load(); g != nil {
+		return g
 	}
-	g, _ := graphCache.LoadOrStore(t, t.lowerGraph())
-	return g.(*Graph)
+	t.graph.CompareAndSwap(nil, t.lowerGraph())
+	return t.graph.Load()
 }
 
 func (t *Trace) lowerGraph() *Graph {

@@ -11,6 +11,7 @@ package trace
 
 import (
 	"fmt"
+	"sync/atomic"
 )
 
 // OpKind is the kind of one trace operation.
@@ -52,6 +53,12 @@ type Op struct {
 type Trace struct {
 	App   string
 	Ranks [][]Op // Ranks[i] is the ordered op list of MPI rank i
+
+	// Memos of Digest and Graph. Traces are immutable after construction,
+	// so each is computed at most once per trace and lives exactly as long
+	// as the trace does.
+	digest atomic.Uint64 // 0 until computed
+	graph  atomic.Pointer[Graph]
 }
 
 // NumRanks returns the rank count.
@@ -93,8 +100,18 @@ func (t *Trace) NumPhases() int {
 // Two traces share a digest exactly when they replay identically, which is
 // what lets a content-addressed result cache identify an application by its
 // communication record instead of by name — a regenerated trace with the
-// same label but different ops can never alias a cached result.
+// same label but different ops can never alias a cached result. The digest
+// is memoized on the trace.
 func (t *Trace) Digest() uint64 {
+	if d := t.digest.Load(); d != 0 {
+		return d
+	}
+	d := t.computeDigest()
+	t.digest.Store(d)
+	return d
+}
+
+func (t *Trace) computeDigest() uint64 {
 	const (
 		offset64 = 14695981039346656037
 		prime64  = 1099511628211
