@@ -49,35 +49,48 @@ func trafficDigest(stats []LinkStat, events uint64, clock des.Time) string {
 	return fmt.Sprintf("%016x", h.Sum64())
 }
 
-// TestTrafficMatchesPinned: runTraffic on each mini machine, healthy and with
-// a quarter of the global links (and a few locals) dead, must reproduce the
-// pinned digest — recorded when the dense O(routers^2) link index and the
-// compact one both still existed and were proven link-for-link identical on
-// these loads.
-func TestTrafficMatchesPinned(t *testing.T) {
-	pinned := map[string]string{
-		"mini/healthy":        "66b0df29d9137065",
-		"mini/faulted":        "16af5ead9ed7af1f",
-		"dfplus-mini/healthy": "34693586b98908ad",
-		"dfplus-mini/faulted": "3c08bd715f6c6730",
+// pinnedTraffic are runTraffic's digests on each mini machine, healthy and
+// with a quarter of the global links (and a few locals) dead, recorded when
+// the dense O(routers^2) link index and the compact one both still existed
+// and were proven link-for-link identical on these loads.
+var pinnedTraffic = map[string]string{
+	"mini/healthy":        "66b0df29d9137065",
+	"mini/faulted":        "16af5ead9ed7af1f",
+	"dfplus-mini/healthy": "34693586b98908ad",
+	"dfplus-mini/faulted": "3c08bd715f6c6730",
+}
+
+// trafficCheck runs the fixed load under p and compares its digest with the
+// pinned one for this machine and health state.
+func trafficCheck(t *testing.T, topo topology.Interconnect, p Params, health string) {
+	t.Helper()
+	key := path.Base(t.Name()) + "/" + health
+	if got := trafficDigest(runTraffic(t, topo, p)); got != pinnedTraffic[key] {
+		t.Errorf("%s: traffic digest %s, pinned %s", key, got, pinnedTraffic[key])
 	}
+}
+
+// TestCompactIndexIdenticalSimulation: the fixed load on each mini machine
+// must reproduce, link for link and event for event, the outcome the dense
+// link index produced, as pinned.
+func TestCompactIndexIdenticalSimulation(t *testing.T) {
 	topotest.EachSmall(t, func(t *testing.T, _ topology.Machine, topo topology.Interconnect) {
-		healthy := DefaultParams()
-		faulted := DefaultParams()
+		trafficCheck(t, topo, DefaultParams(), "healthy")
+	})
+}
+
+// TestCompactIndexIdenticalSimulationFaulted repeats the check with a quarter
+// of the global links and a few locals dead, exercising RefreshHealth and the
+// drop paths.
+func TestCompactIndexIdenticalSimulationFaulted(t *testing.T) {
+	topotest.EachSmall(t, func(t *testing.T, _ topology.Machine, topo topology.Interconnect) {
 		set, err := faults.Resolve(&faults.Spec{GlobalFrac: 0.25, LocalFrac: 0.05, Seed: 7}, topo)
 		if err != nil {
 			t.Fatal(err)
 		}
-		faulted.Route.Health = set
-		for _, c := range []struct {
-			name string
-			p    Params
-		}{{"healthy", healthy}, {"faulted", faulted}} {
-			key := path.Base(t.Name()) + "/" + c.name
-			if got := trafficDigest(runTraffic(t, topo, c.p)); got != pinned[key] {
-				t.Errorf("%s: traffic digest %s, pinned %s", key, got, pinned[key])
-			}
-		}
+		p := DefaultParams()
+		p.Route.Health = set
+		trafficCheck(t, topo, p, "faulted")
 	})
 }
 

@@ -92,33 +92,44 @@ var pinnedRoutes = map[string]string{
 	"dfplus-mini/min/faulted": "992a8c746c8d27d0", "dfplus-mini/adp/faulted": "36af25fac9e60d4c",
 }
 
-// TestRoutesMatchPinned: on every machine, mechanism, and gateway policy,
-// healthy and with a quarter of the global links dead, the chooser must emit
-// exactly the pinned routes. The samples interleave cached and rebuilt pairs,
-// so any change in which pairs the path memo serves (and hence in RNG stream
-// consumption) desynchronizes every later route and fails loudly here.
-func TestRoutesMatchPinned(t *testing.T) {
+// routeCheck compares a route sample with its pinned digest.
+func routeCheck(t *testing.T, key string, got [][]Hop) {
+	t.Helper()
+	if d := hopsDigest(got); d != pinnedRoutes[key] {
+		t.Errorf("%s: route digest %s, pinned %s", key, d, pinnedRoutes[key])
+	}
+}
+
+// TestCompactRoutesIdenticalToDense: on every machine, mechanism, and gateway
+// policy, the chooser must emit exactly the routes the dense tables emitted,
+// as pinned. The samples interleave cached and rebuilt pairs, so any change
+// in which pairs the path memo serves (and hence in RNG stream consumption)
+// desynchronizes every later route and fails loudly here.
+func TestCompactRoutesIdenticalToDense(t *testing.T) {
 	topotest.Each(t, func(t *testing.T, _ topology.Machine, topo topology.Interconnect) {
 		name := path.Base(t.Name())
-		check := func(key string, got [][]Hop) {
-			t.Helper()
-			if d := hopsDigest(got); d != pinnedRoutes[key] {
-				t.Errorf("%s: route digest %s, pinned %s", key, d, pinnedRoutes[key])
-			}
-		}
 		for _, mech := range []Mechanism{Minimal, Adaptive} {
 			for _, gw := range []GatewayPolicy{GatewaySpread, GatewayNearest, GatewayRandom} {
 				ch := NewChooserOpts(topo, mech, des.NewRNG(11, "eq"), saltedCong{}, Options{Gateway: gw})
-				check(fmt.Sprintf("%s/%v/gw=%d", name, mech, gw), routeAll(t, topo, ch, 400))
+				routeCheck(t, fmt.Sprintf("%s/%v/gw=%d", name, mech, gw), routeAll(t, topo, ch, 400))
 			}
 		}
+	})
+}
+
+// TestCompactFaultRoutesIdenticalToDense repeats the check with a quarter of
+// the global links and a few locals dead, exercising the health-aware
+// gateway and detour paths.
+func TestCompactFaultRoutesIdenticalToDense(t *testing.T) {
+	topotest.Each(t, func(t *testing.T, _ topology.Machine, topo topology.Interconnect) {
 		set, err := faults.Resolve(&faults.Spec{GlobalFrac: 0.25, LocalFrac: 0.05, Seed: 7}, topo)
 		if err != nil {
 			t.Fatal(err)
 		}
+		name := path.Base(t.Name())
 		for _, mech := range []Mechanism{Minimal, Adaptive} {
 			ch := NewChooserOpts(topo, mech, des.NewRNG(13, "feq"), saltedCong{}, Options{Health: set})
-			check(fmt.Sprintf("%s/%v/faulted", name, mech), routeAll(t, topo, ch, 300))
+			routeCheck(t, fmt.Sprintf("%s/%v/faulted", name, mech), routeAll(t, topo, ch, 300))
 		}
 	})
 }

@@ -4,8 +4,10 @@
 // reproduce them bit for bit — routes, unreachability errors, RNG stream
 // positions, link statistics, and simulation clocks, across healthy and
 // faulted fabrics. Each digest was also reproduced by the dense
-// O(routers^2) route and link tables while they existed. Refresh (only when
-// a behavior change is intended and understood) with:
+// O(routers^2) route and link tables while they existed; their twin cells
+// (the "/dense" leaf) are gone, and every cell name keeps the "/compact"
+// leaf of the one table form left. Refresh (only when a behavior change is
+// intended and understood) with:
 //
 //	UPDATE_EQUIV=1 go test ./internal/topotest -run TestPolicyEquivalence
 //
@@ -39,6 +41,10 @@ const equivFile = "testdata/equivalence.json"
 // committed digests.
 const equivSeed = 11
 
+// tableForm is the leaf of every cell name: the route and link tables'
+// one form.
+const tableForm = "compact"
+
 // routeCells enumerates the chooser-level grid: preset x mechanism x
 // healthy/faulted, plus the gateway-policy ablations the
 // SPI also absorbed.
@@ -48,7 +54,7 @@ func routeCells() map[string]func(t *testing.T) string {
 		for _, mech := range []routing.Mechanism{routing.Minimal, routing.Adaptive} {
 			for _, frac := range []float64{0, 0.15} {
 				preset, mech, frac := preset, mech, frac
-				name := fmt.Sprintf("route/%s/%s/fault=%.2f", preset, mech, frac)
+				name := fmt.Sprintf("route/%s/%s/fault=%.2f/%s", preset, mech, frac, tableForm)
 				cells[name] = func(t *testing.T) string {
 					ic := buildPreset(t, preset)
 					return policytest.RouteDigest(t, ic, policytest.RouteSpec{
@@ -63,7 +69,7 @@ func routeCells() map[string]func(t *testing.T) string {
 	}
 	for _, gw := range []routing.GatewayPolicy{routing.GatewayNearest, routing.GatewayRandom} {
 		gw := gw
-		name := fmt.Sprintf("route/mini/min/gateway=%d", gw)
+		name := fmt.Sprintf("route/mini/min/gateway=%d/%s", gw, tableForm)
 		cells[name] = func(t *testing.T) string {
 			ic := buildPreset(t, "mini")
 			return policytest.RouteDigest(t, ic, policytest.RouteSpec{
@@ -88,7 +94,7 @@ func simCells() map[string]func(t *testing.T) string {
 			for _, mech := range []routing.Mechanism{routing.Minimal, routing.Adaptive} {
 				for _, frac := range []float64{0, 0.15} {
 					preset, place, mech, frac := preset, place, mech, frac
-					name := fmt.Sprintf("sim/%s/%s-%s/fault=%.2f", preset, place, mech, frac)
+					name := fmt.Sprintf("sim/%s/%s-%s/fault=%.2f/%s", preset, place, mech, frac, tableForm)
 					cells[name] = func(t *testing.T) string {
 						return policytest.SimDigest(t, simConfig(t, preset, place, mech, frac))
 					}

@@ -37,7 +37,8 @@ func Contract(t *testing.T, factory routing.PolicyFactory) {
 	for _, m := range machines {
 		for _, frac := range []float64{0, 0.2} {
 			ic, fr := m.ic, frac
-			t.Run(fmt.Sprintf("%s/fault=%.2f", m.name, frac), func(t *testing.T) {
+			// "compact" names the route tables' one form.
+			t.Run(fmt.Sprintf("%s/compact/fault=%.2f", m.name, frac), func(t *testing.T) {
 				contractCell(t, ic, factory, fr)
 			})
 		}

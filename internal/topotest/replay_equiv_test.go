@@ -69,7 +69,7 @@ func replayCells(t *testing.T) map[string]func(t *testing.T) string {
 		for _, app := range []string{"CR", "FB", "AMG"} {
 			for _, place := range []placement.Policy{placement.Contiguous, placement.RandomNode} {
 				preset, app, place := preset, app, place
-				name := fmt.Sprintf("replay/%s/%s/%s", preset, app, place)
+				name := fmt.Sprintf("replay/%s/%s/%s/%s", preset, app, place, tableForm)
 				cells[name] = func(t *testing.T) string {
 					m, err := topology.Preset(preset)
 					if err != nil {
