@@ -296,10 +296,10 @@ type (
 	Cell = core.Cell
 )
 
-// Invariant auditing (Config.Audit, MultiConfig.Audit, the -audit flag of
-// dfsim and dfsweep): machine-checked credit conservation, byte/packet
-// conservation, VC-class monotonicity (deadlock-freedom witness), time
-// monotonicity, and per-NIC FIFO injection.
+// Invariant auditing (Config.Audit, the -audit flag of dfsim and dfsweep):
+// machine-checked credit conservation, byte/packet conservation, VC-class
+// monotonicity (deadlock-freedom witness), time monotonicity, and per-NIC
+// FIFO injection.
 type (
 	// AuditSummary carries an audited run's check counts and any recorded
 	// violations.
@@ -317,21 +317,15 @@ func Run(cfg Config) (*Result, error) { return core.Run(cfg) }
 func RunBatch(cfgs []Config, parallel int) ([]*Result, error) { return core.RunBatch(cfgs, parallel) }
 
 // Multijob co-runs (the production scenario of Sec. IV-C, with real
-// application traces instead of synthetic background traffic).
+// application traces instead of synthetic background traffic): list the
+// further jobs in Config.CoRun; they are placed in order from the shared free
+// pool, replayed concurrently on one fabric, and measured in Result.CoRun.
 type (
-	// MultiConfig describes several applications sharing the machine.
-	MultiConfig = core.MultiConfig
-	// JobSpec is one application of a co-run.
+	// JobSpec is one further application of a co-run.
 	JobSpec = core.JobSpec
-	// MultiResult carries per-job measurements of a co-run.
-	MultiResult = core.MultiResult
-	// JobResult is one job's share of a MultiResult.
+	// JobResult is one co-run job's share of a Result.
 	JobResult = core.JobResult
 )
-
-// RunMulti executes a multijob co-run: jobs are placed in order from the
-// shared free pool and replayed concurrently on one fabric.
-func RunMulti(cfg MultiConfig) (*MultiResult, error) { return core.RunMulti(cfg) }
 
 // Batch scheduling (extension: the paper's "joint actions among
 // applications and system" future work).

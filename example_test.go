@@ -28,30 +28,29 @@ func ExampleRun() {
 	// ranks measured: 32
 }
 
-// ExampleRunMulti co-runs two applications sharing the machine.
-func ExampleRunMulti() {
+// ExampleRun_coRun co-runs two applications sharing the machine: the
+// config's own job (AMG) plus one further job listed in CoRun.
+func ExampleRun_coRun() {
 	amg, _ := dragonfly.AMGTrace(dragonfly.AMGConfig{
 		X: 3, Y: 3, Z: 3, Cycles: 1, Levels: 2, PeakBytes: 8 * 1024,
 	})
 	cr, _ := dragonfly.CRTrace(dragonfly.CRConfig{Ranks: 16, MessageBytes: 16 * 1024})
-	res, err := dragonfly.RunMulti(dragonfly.MultiConfig{
-		Topology: dragonfly.MiniTopology(),
-		Params:   dragonfly.DefaultParams(),
-		Routing:  dragonfly.Adaptive,
-		Seed:     1,
-		Jobs: []dragonfly.JobSpec{
-			{Name: "AMG", Trace: amg, Placement: dragonfly.Contiguous},
-			{Name: "CR", Trace: cr, Placement: dragonfly.RandomNode},
-		},
-	})
+	cfg := dragonfly.MiniConfig(amg, dragonfly.Cell{
+		Placement: dragonfly.Contiguous,
+		Routing:   dragonfly.Adaptive,
+	}, 1)
+	cfg.CoRun = []dragonfly.JobSpec{
+		{Name: "CR", Trace: cr, Placement: dragonfly.RandomNode},
+	}
+	res, err := dragonfly.Run(cfg)
 	if err != nil {
 		panic(err)
 	}
-	fmt.Println("all jobs completed:", res.Completed())
-	fmt.Println("jobs:", len(res.Jobs))
+	fmt.Println("all jobs completed:", res.Completed)
+	fmt.Println("co-run jobs:", len(res.CoRun))
 	// Output:
 	// all jobs completed: true
-	// jobs: 2
+	// co-run jobs: 1
 }
 
 // ExampleCell_Name shows the paper's Table I naming scheme.

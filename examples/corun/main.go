@@ -23,22 +23,24 @@ func main() {
 		log.Fatal(err)
 	}
 
-	base := dragonfly.MultiConfig{
-		Topology: dragonfly.MiniTopology(),
-		Params:   dragonfly.DefaultParams(),
-		Routing:  dragonfly.Adaptive,
-		Seed:     7,
+	// The AMG victim is each config's own job; the CR bully joins it as a
+	// co-run job placed from the nodes AMG left free.
+	cell := func(p dragonfly.PlacementPolicy) dragonfly.Config {
+		return dragonfly.Config{
+			Topology:  dragonfly.MiniTopology(),
+			Params:    dragonfly.DefaultParams(),
+			Placement: p,
+			Routing:   dragonfly.Adaptive,
+			Trace:     amg,
+			Seed:      7,
+		}
 	}
 
-	alone := base
-	alone.Jobs = []dragonfly.JobSpec{
-		{Name: "AMG", Trace: amg, Placement: dragonfly.Contiguous},
-	}
-	ref, err := dragonfly.RunMulti(alone)
+	ref, err := dragonfly.Run(cell(dragonfly.Contiguous))
 	if err != nil {
 		log.Fatal(err)
 	}
-	baseline := ref.Jobs[0].MaxCommTime()
+	baseline := ref.MaxCommTime()
 	fmt.Printf("AMG alone: %v\n\n", baseline)
 
 	fmt.Printf("%-32s  %-12s  %s\n", "co-run placement (AMG / CR)", "AMG time", "slowdown")
@@ -49,19 +51,16 @@ func main() {
 		{dragonfly.Contiguous, dragonfly.RandomNode},
 		{dragonfly.RandomNode, dragonfly.RandomNode},
 	} {
-		cfg := base
-		cfg.Jobs = []dragonfly.JobSpec{
-			{Name: "AMG", Trace: amg, Placement: pair.amg},
-			{Name: "CR", Trace: cr, Placement: pair.cr},
-		}
-		res, err := dragonfly.RunMulti(cfg)
+		cfg := cell(pair.amg)
+		cfg.CoRun = []dragonfly.JobSpec{{Name: "CR", Trace: cr, Placement: pair.cr}}
+		res, err := dragonfly.Run(cfg)
 		if err != nil {
 			log.Fatal(err)
 		}
-		if !res.Completed() {
+		if !res.Completed {
 			log.Fatal("co-run did not complete")
 		}
-		amgTime := res.Jobs[0].MaxCommTime()
+		amgTime := res.MaxCommTime()
 		fmt.Printf("%-32s  %-12v  %.2fx\n",
 			fmt.Sprintf("%v / %v", pair.amg, pair.cr),
 			amgTime, float64(amgTime)/float64(baseline))

@@ -124,22 +124,23 @@ func TestAuditCleanUnderBackgroundDeadline(t *testing.T) {
 
 // The audited co-run path: overlapping jobs on one fabric stay clean.
 func TestAuditCleanMultiJob(t *testing.T) {
-	cfg := core.MultiConfig{
-		Topology: topology.Mini(),
-		Params:   network.DefaultParams(),
-		Routing:  routing.Adaptive,
-		Jobs: []core.JobSpec{
-			{Name: "a", Trace: miniTrace(t, "CR"), Placement: placement.Contiguous},
+	cfg := core.Config{
+		Topology:  topology.Mini(),
+		Params:    network.DefaultParams(),
+		Placement: placement.Contiguous,
+		Routing:   routing.Adaptive,
+		Trace:     miniTrace(t, "CR"),
+		CoRun: []core.JobSpec{
 			{Name: "b", Trace: miniTrace(t, "CR"), Placement: placement.RandomNode},
 		},
 		Seed:  3,
 		Audit: true,
 	}
-	res, err := core.RunMulti(cfg)
+	res, err := core.Run(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !res.Completed() {
+	if !res.Completed {
 		t.Fatal("co-run did not complete")
 	}
 	if res.Audit == nil || res.Audit.Stats.Violations != 0 {

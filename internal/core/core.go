@@ -78,6 +78,12 @@ type Config struct {
 	// Auditing observes without perturbing: results are bit-identical to an
 	// unaudited run.
 	Audit bool
+
+	// CoRun lists further jobs that share the machine with this config's
+	// own job. They are placed after it, in order, from the same free pool,
+	// replayed on the same fabric under the same faults, and measured in
+	// Result.CoRun; Background then runs on the nodes no job holds.
+	CoRun []JobSpec
 }
 
 // Name returns the paper's abbreviation for the placement x routing cell,
@@ -112,7 +118,7 @@ func (c Config) WorkloadRanks() int {
 // Result is the measured outcome of one run.
 type Result struct {
 	Config    Config
-	Completed bool // every rank finished before MaxSimTime
+	Completed bool // every rank of every job finished before MaxSimTime
 
 	// CommTimes is the per-rank communication time (Sec. III-E).
 	CommTimes []des.Time
@@ -145,12 +151,17 @@ type Result struct {
 	// Audit carries the invariant auditor's check counts and any recorded
 	// violations; nil unless Config.Audit was set.
 	Audit *audit.Summary
+
+	// CoRun carries the measurements of Config.CoRun's jobs, in order.
+	CoRun []JobResult
 }
 
 // MaxCommTime returns the slowest rank's communication time.
-func (r *Result) MaxCommTime() des.Time {
+func (r *Result) MaxCommTime() des.Time { return maxTime(r.CommTimes) }
+
+func maxTime(ts []des.Time) des.Time {
 	var max des.Time
-	for _, t := range r.CommTimes {
+	for _, t := range ts {
 		if t > max {
 			max = t
 		}
@@ -237,23 +248,33 @@ func Run(cfg Config) (*Result, error) {
 		eng.SetObserver(aud.EventExecuted)
 	}
 
-	nodes, err := placement.Allocate(topo, cfg.Placement, cfg.WorkloadRanks(), root.Stream("placement"))
-	if err != nil {
-		return nil, err
-	}
-	nodes, err = mapping.Apply(cfg.Mapping, topo, nodes, root.Stream("mapping"))
-	if err != nil {
-		return nil, err
-	}
-	rep, err := workload.NewReplay(fab, workload.Job{
+	// Every job is placed from one free pool: the config's own job first,
+	// then each co-run job in order, so earlier jobs fragment later ones.
+	pool := placement.NewPool(topo)
+	rep, err := placeJob(fab, pool, root, "", cfg.Placement, cfg.Mapping, cfg.WorkloadRanks(), workload.Job{
 		Name:     cfg.WorkloadApp(),
 		Graph:    cfg.Graph,
 		Trace:    cfg.Trace,
-		Nodes:    nodes,
 		MsgScale: cfg.MsgScale,
 	})
 	if err != nil {
 		return nil, err
+	}
+	replays := []*workload.Replay{rep}
+	for i, spec := range cfg.CoRun {
+		if spec.Trace == nil {
+			return nil, fmt.Errorf("core: co-run job %d (%q) has no trace", i+1, spec.Name)
+		}
+		co, err := placeJob(fab, pool, root, fmt.Sprintf("/%d", i+1), spec.Placement, spec.Mapping, spec.Trace.NumRanks(), workload.Job{
+			Name:     spec.Name,
+			Trace:    spec.Trace,
+			MsgScale: spec.MsgScale,
+			Start:    spec.Start,
+		})
+		if err != nil {
+			return nil, fmt.Errorf("core: co-run job %d (%q): %w", i+1, spec.Name, err)
+		}
+		replays = append(replays, co)
 	}
 
 	var bg *workload.Background
@@ -262,18 +283,24 @@ func Run(cfg Config) (*Result, error) {
 		if err := cfg.Background.Validate(); err != nil {
 			return nil, err
 		}
-		rest := placement.Remaining(topo, nodes)
+		var used []topology.NodeID
+		for _, r := range replays {
+			used = append(used, r.Nodes()...)
+		}
+		rest := placement.Remaining(topo, used)
 		bg = workload.StartBackground(fab, *cfg.Background, rest, root.Stream("background"))
 		peak = cfg.Background.PeakLoad(len(rest))
 	}
 
-	rep.Start()
+	for _, r := range replays {
+		r.Start()
+	}
 	deadline := cfg.MaxSimTime
 	if bg == nil && deadline == 0 {
 		// No perpetual traffic source: the queue drains by itself.
 		eng.Run()
 	} else {
-		for !rep.Done() {
+		for !allDone(replays) {
 			if deadline > 0 && eng.Now() >= deadline {
 				break
 			}
@@ -292,7 +319,7 @@ func Run(cfg Config) (*Result, error) {
 
 	res := &Result{
 		Config:             cfg,
-		Completed:          rep.Done(),
+		Completed:          allDone(replays),
 		CommTimes:          rep.CommTimes(),
 		AvgHops:            rep.AvgHopsPerRank(),
 		Links:              fab.LinkStats(),
@@ -304,6 +331,18 @@ func Run(cfg Config) (*Result, error) {
 		RouteErr:           fab.RouteError(),
 	}
 	res.DroppedPackets, res.DroppedBytes = fab.DropStats()
+	for i, co := range replays[1:] {
+		spec := cfg.CoRun[i]
+		res.CoRun = append(res.CoRun, JobResult{
+			Name:      spec.Name,
+			Placement: spec.Placement,
+			Completed: co.Done(),
+			CommTimes: co.CommTimes(),
+			AvgHops:   co.AvgHopsPerRank(),
+			Nodes:     co.Nodes(),
+			Routers:   metrics.RouterSet(topo, co.Nodes()),
+		})
+	}
 	if aud != nil {
 		aud.Finish(eng.Pending() == 0)
 		s := aud.Summary()
@@ -313,4 +352,30 @@ func Run(cfg Config) (*Result, error) {
 		}
 	}
 	return res, nil
+}
+
+// placeJob allocates size nodes from the pool, maps the job's ranks onto
+// them, and prepares its replay. The job's random streams are
+// "placement"+suffix and "mapping"+suffix, drawn from root in that order.
+func placeJob(fab *network.Fabric, pool *placement.Pool, root *des.RNG, suffix string,
+	pol placement.Policy, mp mapping.Policy, size int, job workload.Job) (*workload.Replay, error) {
+	nodes, err := placement.AllocateFrom(pool, pol, size, root.Stream("placement"+suffix))
+	if err != nil {
+		return nil, err
+	}
+	job.Nodes, err = mapping.Apply(mp, fab.Topology(), nodes, root.Stream("mapping"+suffix))
+	if err != nil {
+		return nil, err
+	}
+	return workload.NewReplay(fab, job)
+}
+
+// allDone reports whether every replay has finished.
+func allDone(replays []*workload.Replay) bool {
+	for _, r := range replays {
+		if !r.Done() {
+			return false
+		}
+	}
+	return true
 }

@@ -1,25 +1,19 @@
 package core
 
 import (
-	"fmt"
-
-	"dragonfly/internal/audit"
 	"dragonfly/internal/des"
 	"dragonfly/internal/mapping"
-	"dragonfly/internal/metrics"
-	"dragonfly/internal/network"
 	"dragonfly/internal/placement"
-	"dragonfly/internal/routing"
 	"dragonfly/internal/topology"
 	"dragonfly/internal/trace"
-	"dragonfly/internal/workload"
 )
 
-// JobSpec is one application of a multijob co-run: the production scenario
-// the paper's interference study models with synthetic traffic, and the one
-// its prior "bully" study [15] measured with real trace pairs. Jobs are
-// placed in order from the machine's free pool, so earlier jobs fragment
-// the allocation of later ones exactly as a batch scheduler would.
+// JobSpec is one further application of a co-run (Config.CoRun): the
+// production scenario the paper's interference study models with synthetic
+// traffic, and the one its prior "bully" study [15] measured with real trace
+// pairs. Jobs are placed in order from the machine's free pool, so earlier
+// jobs fragment the allocation of later ones exactly as a batch scheduler
+// would.
 type JobSpec struct {
 	Name      string
 	Trace     *trace.Trace
@@ -31,21 +25,7 @@ type JobSpec struct {
 	Start    des.Time
 }
 
-// MultiConfig describes a co-run of several applications sharing the
-// machine under one routing mechanism.
-type MultiConfig struct {
-	Topology topology.Machine
-	Params   network.Params
-	Routing  routing.Mechanism
-	Jobs     []JobSpec
-	Seed     int64
-	// MaxSimTime aborts the co-run (0 = unlimited).
-	MaxSimTime des.Time
-	// Audit attaches the runtime invariant auditor; see Config.Audit.
-	Audit bool
-}
-
-// JobResult carries one job's measurements from a co-run.
+// JobResult carries one co-run job's measurements (Result.CoRun).
 type JobResult struct {
 	Name      string
 	Placement placement.Policy
@@ -57,125 +37,4 @@ type JobResult struct {
 }
 
 // MaxCommTime returns the job's slowest rank time.
-func (j *JobResult) MaxCommTime() des.Time {
-	var max des.Time
-	for _, t := range j.CommTimes {
-		if t > max {
-			max = t
-		}
-	}
-	return max
-}
-
-// MultiResult is the outcome of a co-run.
-type MultiResult struct {
-	Jobs     []JobResult
-	Links    []network.LinkStat
-	Duration des.Time
-	Events   uint64
-	// Audit is the invariant auditor's summary; nil unless MultiConfig.Audit.
-	Audit *audit.Summary
-}
-
-// Completed reports whether every job finished.
-func (m *MultiResult) Completed() bool {
-	for _, j := range m.Jobs {
-		if !j.Completed {
-			return false
-		}
-	}
-	return true
-}
-
-// RunMulti executes a multijob co-run: every job is placed from the shared
-// free pool in spec order, all replays run on one fabric, and the engine
-// drains (or hits MaxSimTime). Per-job communication times then expose
-// inter-job interference directly.
-func RunMulti(cfg MultiConfig) (*MultiResult, error) {
-	if len(cfg.Jobs) == 0 {
-		return nil, fmt.Errorf("core: co-run needs at least one job")
-	}
-	if cfg.Topology == nil {
-		return nil, fmt.Errorf("core: config has no machine (set Topology)")
-	}
-	topo, err := cfg.Topology.Build()
-	if err != nil {
-		return nil, err
-	}
-	eng := des.New()
-	root := des.NewRNG(cfg.Seed, "core/multi")
-	fab, err := network.New(eng, topo, cfg.Params, cfg.Routing, root.Stream("fabric"))
-	if err != nil {
-		return nil, err
-	}
-	var aud *audit.Auditor
-	if cfg.Audit {
-		aud = audit.New(topo)
-		fab.SetObserver(aud)
-		eng.SetObserver(aud.EventExecuted)
-	}
-
-	pool := placement.NewPool(topo)
-	replays := make([]*workload.Replay, len(cfg.Jobs))
-	for i, spec := range cfg.Jobs {
-		if spec.Trace == nil {
-			return nil, fmt.Errorf("core: job %d (%q) has no trace", i, spec.Name)
-		}
-		nodes, err := placement.AllocateFrom(pool, spec.Placement, spec.Trace.NumRanks(),
-			root.Stream(fmt.Sprintf("placement/%d", i)))
-		if err != nil {
-			return nil, fmt.Errorf("core: job %d (%q): %w", i, spec.Name, err)
-		}
-		nodes, err = mapping.Apply(spec.Mapping, topo, nodes, root.Stream(fmt.Sprintf("mapping/%d", i)))
-		if err != nil {
-			return nil, fmt.Errorf("core: job %d (%q): %w", i, spec.Name, err)
-		}
-		rep, err := workload.NewReplay(fab, workload.Job{
-			Name:     spec.Name,
-			Trace:    spec.Trace,
-			Nodes:    nodes,
-			MsgScale: spec.MsgScale,
-			Start:    spec.Start,
-		})
-		if err != nil {
-			return nil, fmt.Errorf("core: job %d (%q): %w", i, spec.Name, err)
-		}
-		replays[i] = rep
-	}
-	for _, rep := range replays {
-		rep.Start()
-	}
-	if cfg.MaxSimTime == 0 {
-		eng.Run()
-	} else {
-		for eng.Now() < cfg.MaxSimTime && eng.Step() {
-		}
-	}
-	fab.FinishStats()
-
-	out := &MultiResult{
-		Links:    fab.LinkStats(),
-		Duration: eng.Now(),
-		Events:   eng.Processed(),
-	}
-	if aud != nil {
-		aud.Finish(eng.Pending() == 0)
-		s := aud.Summary()
-		out.Audit = &s
-		if err := aud.Err(); err != nil {
-			return nil, fmt.Errorf("core: co-run: %w", err)
-		}
-	}
-	for i, rep := range replays {
-		out.Jobs = append(out.Jobs, JobResult{
-			Name:      cfg.Jobs[i].Name,
-			Placement: cfg.Jobs[i].Placement,
-			Completed: rep.Done(),
-			CommTimes: rep.CommTimes(),
-			AvgHops:   rep.AvgHopsPerRank(),
-			Nodes:     rep.Nodes(),
-			Routers:   metrics.RouterSet(topo, rep.Nodes()),
-		})
-	}
-	return out, nil
-}
+func (j *JobResult) MaxCommTime() des.Time { return maxTime(j.CommTimes) }

@@ -88,28 +88,32 @@ func (r *Runner) XMulti() (*Report, error) {
 		return nil, err
 	}
 
-	runCo := func(jobs []core.JobSpec) (*core.MultiResult, error) {
-		res, err := core.RunMulti(core.MultiConfig{
-			Topology: r.Machine(),
-			Params:   network.DefaultParams(),
-			Routing:  routing.Adaptive,
-			Jobs:     jobs,
-			Seed:     r.opts.Seed,
+	// runCo runs AMG under the victim placement, with the CR bully as a
+	// co-run job when one is given.
+	runCo := func(victim placement.Policy, coRun []core.JobSpec) (*core.Result, error) {
+		res, err := core.Run(core.Config{
+			Topology:  r.Machine(),
+			Params:    network.DefaultParams(),
+			Placement: victim,
+			Routing:   routing.Adaptive,
+			Trace:     amg,
+			Seed:      r.opts.Seed,
+			CoRun:     coRun,
 		})
 		if err != nil {
 			return nil, err
 		}
-		if !res.Completed() {
+		if !res.Completed {
 			return nil, fmt.Errorf("experiments: xmulti co-run did not complete")
 		}
 		return res, nil
 	}
 
-	alone, err := runCo([]core.JobSpec{{Name: "AMG", Trace: amg, Placement: placement.Contiguous}})
+	alone, err := runCo(placement.Contiguous, nil)
 	if err != nil {
 		return nil, err
 	}
-	baseline := alone.Jobs[0].MaxCommTime()
+	baseline := alone.MaxCommTime()
 	r.progressf("ran AMG alone: %v", baseline)
 
 	t := Table{
@@ -122,20 +126,17 @@ func (r *Runner) XMulti() (*Report, error) {
 		{placement.RandomNode, placement.RandomNode},
 		{placement.RandomCabinet, placement.RandomNode},
 	} {
-		res, err := runCo([]core.JobSpec{
-			{Name: "AMG", Trace: amg, Placement: pair.victim},
-			{Name: "CR", Trace: cr, Placement: pair.bully},
-		})
+		res, err := runCo(pair.victim, []core.JobSpec{{Name: "CR", Trace: cr, Placement: pair.bully}})
 		if err != nil {
 			return nil, err
 		}
-		amgMax := res.Jobs[0].MaxCommTime()
+		amgMax := res.MaxCommTime()
 		r.progressf("ran co-run %v/%v: AMG %v", pair.victim, pair.bully, amgMax)
 		t.Rows = append(t.Rows, []string{
 			pair.victim.String(), pair.bully.String(),
 			fmtF(amgMax.Milliseconds()),
 			fmt.Sprintf("%.2fx", float64(amgMax)/float64(baseline)),
-			fmtF(res.Jobs[1].MaxCommTime().Milliseconds()),
+			fmtF(res.CoRun[0].MaxCommTime().Milliseconds()),
 		})
 	}
 	rep.Tables = append(rep.Tables, t)

@@ -46,6 +46,7 @@ var (
 		"Mapping": true, "Trace": true, "Graph": true, "MsgScale": true,
 		"Background": true, "Seed": true, "Faults": true, "MaxSimTime": true,
 		"WatchdogEvents": true, "WatchdogTime": true, "Audit": true,
+		"CoRun": true, // rejected, not encoded: see Encode
 	}
 	coveredParamsFields = map[string]bool{
 		"PacketBytes": true, "TerminalBandwidth": true, "LocalBandwidth": true,
@@ -69,10 +70,12 @@ var (
 // experiments runner and, hashed (see Address), the on-disk content address.
 //
 // Uncacheable configurations fail loudly instead of aliasing: a nil trace or
-// machine, a machine type without CanonicalSpec, or a pre-installed
+// machine, a machine type without CanonicalSpec, a pre-installed
 // Route.Health view (whose live fault state has no canonical identity —
-// declare faults through Config.Faults instead). A custom Route.Policy is
-// identified by its Name(); distinct policies must use distinct names.
+// declare faults through Config.Faults instead), or a co-run (Config.CoRun:
+// a Record holds one job's measurements, not its co-run jobs'). A custom
+// Route.Policy is identified by its Name(); distinct policies must use
+// distinct names.
 func Encode(cfg core.Config) (string, error) {
 	if cfg.Trace == nil && cfg.Graph == nil {
 		return "", fmt.Errorf("farm: config has no workload")
@@ -86,6 +89,9 @@ func Encode(cfg core.Config) (string, error) {
 	}
 	if cfg.Params.Route.Health != nil {
 		return "", fmt.Errorf("farm: config installs Route.Health directly; declare faults via Config.Faults to stay cacheable")
+	}
+	if len(cfg.CoRun) > 0 {
+		return "", fmt.Errorf("farm: config co-runs %d further jobs; co-runs are uncacheable", len(cfg.CoRun))
 	}
 
 	var b strings.Builder

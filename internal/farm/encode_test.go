@@ -63,19 +63,51 @@ func TestEncodeCoversEveryStructField(t *testing.T) {
 	check("network.Params", reflect.TypeOf(network.Params{}), coveredParamsFields)
 	check("routing.Options", reflect.TypeOf(routing.Options{}), coveredRouteFields)
 	check("workload.BackgroundConfig", reflect.TypeOf(workload.BackgroundConfig{}), coveredBackgroundFields)
+
+	// CoRun is covered by rejection, not encoding: a co-run config must fail
+	// to encode rather than alias the single-job cell.
+	for _, f := range rejectedConfigFields(t) {
+		if !coveredConfigFields[f.field] {
+			t.Errorf("rejected field core.Config.%s is not in the coverage registry", f.field)
+		}
+		cfg := baseConfig(t)
+		f.apply(&cfg)
+		if enc, err := Encode(cfg); err == nil {
+			t.Errorf("%s encoded instead of being rejected:\n%s", f.name, enc)
+		}
+	}
+}
+
+// configMutation changes one top-level core.Config field.
+type configMutation struct {
+	field string // top-level core.Config field exercised
+	name  string
+	apply func(cfg *core.Config)
+}
+
+// rejectedConfigFields lists the mutations that make a config uncacheable:
+// Encode must fail on each instead of giving it an address. A co-run's
+// further jobs have no place in a Record, which holds one job's
+// measurements.
+func rejectedConfigFields(t *testing.T) []configMutation {
+	tr, err := trace.CR(trace.CRConfig{Ranks: 8, MessageBytes: 4 * trace.KB})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return []configMutation{
+		{"CoRun", "co-run job", func(c *core.Config) {
+			c.CoRun = []core.JobSpec{{Name: "bully", Trace: tr, Placement: placement.RandomNode}}
+		}},
+	}
 }
 
 // TestEveryFieldPerturbsAddress mutates each run-config field in turn and
 // requires every mutation to move the content address, with no collisions
 // among the mutants. The cross-check at the end requires at least one
 // mutation per top-level core.Config field, so a newly added field fails
-// this test until it both gets a mutation here and is encoded.
+// this test until it both gets a mutation here and is encoded (or, for an
+// uncacheable field, until Encode rejects it: rejectedConfigFields).
 func TestEveryFieldPerturbsAddress(t *testing.T) {
-	type mutation struct {
-		field string // top-level core.Config field exercised
-		name  string
-		apply func(cfg *core.Config)
-	}
 	mustRing := func(t *testing.T, ranks int, bytes int64, rounds int) *trace.Graph {
 		t.Helper()
 		g, err := trace.RingAllReduce(trace.RingAllReduceConfig{Ranks: ranks, Bytes: bytes, Rounds: rounds})
@@ -91,7 +123,7 @@ func TestEveryFieldPerturbsAddress(t *testing.T) {
 		}
 		return tr
 	}
-	muts := []mutation{
+	muts := []configMutation{
 		{"Topology", "machine shape", func(c *core.Config) {
 			m := topology.Mini()
 			m.GlobalPortsPerRouter++ // a field Label() omits: only CanonicalSpec sees it
@@ -209,6 +241,16 @@ func TestEveryFieldPerturbsAddress(t *testing.T) {
 			t.Errorf("%s collides with %s on address %s", m.name, prev, addr[:12])
 		}
 		seen[addr] = m.name
+		fieldsHit[m.field] = true
+	}
+	// Rejected fields count as exercised only when the rejection holds.
+	for _, m := range rejectedConfigFields(t) {
+		cfg := baseConfig(t)
+		m.apply(&cfg)
+		if addr, err := Address(cfg); err == nil {
+			t.Errorf("%s got address %s; it must be rejected as uncacheable", m.name, addr[:12])
+			continue
+		}
 		fieldsHit[m.field] = true
 	}
 

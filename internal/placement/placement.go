@@ -77,58 +77,7 @@ func Parse(s string) (Policy, error) {
 // machine; rank i runs on the i-th returned node. The rng drives every
 // random choice, so a (policy, size, seed) triple is reproducible.
 func Allocate(topo topology.Interconnect, p Policy, size int, rng *des.RNG) ([]topology.NodeID, error) {
-	if size < 1 {
-		return nil, fmt.Errorf("placement: job size %d must be >= 1", size)
-	}
-	if size > topo.NumNodes() {
-		return nil, fmt.Errorf("placement: job size %d exceeds machine size %d", size, topo.NumNodes())
-	}
-	switch p {
-	case Contiguous:
-		out := make([]topology.NodeID, size)
-		for i := range out {
-			out[i] = topology.NodeID(i)
-		}
-		return out, nil
-	case RandomCabinet:
-		return fillUnits(topo, size, rng, topo.CabinetCount(), func(u int) []topology.NodeID {
-			return nodesOfRouters(topo, topo.RoutersInCabinet(u))
-		}), nil
-	case RandomChassis:
-		return fillUnits(topo, size, rng, topo.ChassisCount(), func(u int) []topology.NodeID {
-			return nodesOfRouters(topo, topo.RoutersInChassis(u))
-		}), nil
-	case RandomRouter:
-		return fillUnits(topo, size, rng, topo.NumRouters(), func(u int) []topology.NodeID {
-			return topo.NodesOfRouter(topology.RouterID(u))
-		}), nil
-	case RandomNode:
-		perm := rng.Perm(topo.NumNodes())
-		out := make([]topology.NodeID, size)
-		for i := range out {
-			out[i] = topology.NodeID(perm[i])
-		}
-		return out, nil
-	default:
-		return nil, fmt.Errorf("placement: unknown policy %d", int(p))
-	}
-}
-
-// fillUnits shuffles allocation units (cabinets, chassis, routers) and fills
-// them in shuffled order, keeping each unit's nodes contiguous.
-func fillUnits(topo topology.Interconnect, size int, rng *des.RNG, units int, nodesOf func(int) []topology.NodeID) []topology.NodeID {
-	order := rng.Perm(units)
-	out := make([]topology.NodeID, 0, size)
-	for _, u := range order {
-		for _, n := range nodesOf(u) {
-			out = append(out, n)
-			if len(out) == size {
-				return out
-			}
-		}
-	}
-	// size was validated against the machine; the units cover every node.
-	panic("placement: allocation units did not cover the machine")
+	return AllocateFrom(NewPool(topo), p, size, rng)
 }
 
 func nodesOfRouters(topo topology.Interconnect, rs []topology.RouterID) []topology.NodeID {

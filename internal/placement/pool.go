@@ -9,7 +9,7 @@ import (
 
 // Pool tracks which nodes of a machine are free, so several jobs can be
 // placed one after another — the multijob scenario of a production system
-// (Sec. IV-C motivates it; core.RunMulti uses it).
+// (Sec. IV-C motivates it; core.Run places a config's co-run jobs from one).
 type Pool struct {
 	topo  topology.Interconnect
 	taken []bool

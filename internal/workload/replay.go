@@ -120,6 +120,9 @@ func NewReplay(f Fabric, job Job) (*Replay, error) {
 		}
 		job.Graph = job.Trace.Graph()
 	}
+	if job.Start < 0 {
+		return nil, fmt.Errorf("workload: job %q starts at %v, before time 0", job.Name, job.Start)
+	}
 	g := job.Graph
 	n := g.NumRanks()
 	if n == 0 {

@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"strings"
 	"testing"
 
 	"dragonfly/internal/des"
@@ -198,6 +199,12 @@ func TestReplayRejectsBadJobs(t *testing.T) {
 	empty := &trace.Trace{App: "empty"}
 	if _, err := NewReplay(f, Job{Trace: empty}); err == nil {
 		t.Error("accepted rankless trace")
+	}
+	// A negative start would schedule before the engine's clock; it must be
+	// a config error, not a scheduler panic.
+	if _, err := NewReplay(f, Job{Trace: tr, Nodes: contiguousNodes(8), Start: -5}); err == nil ||
+		!strings.HasPrefix(err.Error(), "workload:") {
+		t.Errorf("negative start: err = %v, want a workload: error", err)
 	}
 }
 
